@@ -15,11 +15,9 @@ from .controls import (
     control_derivative_matrix,
 )
 from .derivatives import (
-    DerivativeRequest,
     DerivativeResult,
     directional_derivative,
     domain_for_side,
-    evaluate,
     gateaux_derivative_on_D,
     generalized_derivative,
     mosco_convergence_experiment,
@@ -41,7 +39,6 @@ from .multipliers import (
     CriticalCone,
     MultiplierSplit,
     SetPartition,
-    classification_sensitivity,
     classify_sets,
     node_flags,
     pairing_identity_gap,

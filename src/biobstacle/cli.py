@@ -42,7 +42,7 @@ from .reporting import (
     write_series_csv,
     write_solution_csv,
 )
-from .tracking import ControlProblem, descent_loop
+from .tracking import descent_loop
 from .verify import run_acceptance
 
 CONFIG_ERRORS = (ConfigError, InvalidBeta, InvalidSpec, GridMismatch,
@@ -136,9 +136,8 @@ def run_derivative(args) -> dict:
     n = _grid_size(args, config)
     side = str(_setting(args, config, "side", "lower"))
     amplitude = float(_setting(args, config, "amplitude", 50.0))
-    inst = problems.strict_instance(problems.unit_grid(n, dim=2))
-    problem, u = inst["problem"], inst["u"]
-    h = problems.mode_field(problem.grid, amplitude)
+    inst = problems.derivative_instance(problems.unit_grid(n, dim=2), amplitude)
+    problem, u, h = inst["problem"], inst["u"], inst["h"]
     solution = solve_bop(problem, u)
     partition = classify_sets(solution)
     cone = directional_derivative(problem, u, h, solution=solution,
@@ -174,12 +173,9 @@ def run_mosco(args) -> dict:
     side = str(_setting(args, config, "side", "lower"))
     schedule_text = str(_setting(args, config, "schedule", "2:256"))
     schedule = _parse_schedule(schedule_text)
-    inst = problems.biactive_instance(problems.unit_grid(n, dim=2))
-    problem, u = inst["problem"], inst["u"]
-    h = problems.mode_field(problem.grid, 50.0)
-    e = problem.grid.constant(5.0)
-    result = mosco_convergence_experiment(problem, u, h, side=side,
-                                          schedule=schedule, e=e)
+    inst = problems.mosco_instance(problems.unit_grid(n, dim=2))
+    result = mosco_convergence_experiment(inst["problem"], inst["u"], inst["h"],
+                                          side=side, schedule=schedule, e=inst["e"])
     out = _out_dir(args)
     write_mosco_csv(out / "mosco_errors.csv", result["steps"])
     report = {
@@ -203,20 +199,10 @@ def run_control(args) -> dict:
     n = _grid_size(args, config)
     side = str(_setting(args, config, "side", "lower"))
     steps = int(_setting(args, config, "steps", 50))
-    inst = problems.strict_instance(problems.unit_grid(n, dim=2))
-    problem, u_star = inst["problem"], inst["u"]
-    grid = problem.grid
     rng = np.random.default_rng([seed, 108])
-    y_amp = float(np.abs(inst["y_star"].values).max())
-    y_target = grid.function(
-        inst["y_star"].values
-        - problems.smooth_field(grid, rng, amplitude=10.0 * y_amp).values
-    )
-    cp = ControlProblem(bop=problem, y_target=y_target, alpha=1e-10)
-    u0 = grid.function(
-        u_star.values + problems.smooth_field(grid, rng, amplitude=0.1).values
-    )
-    trace = descent_loop(cp, u0, steps=steps, side=side)
+    inst = problems.control_instance(problems.unit_grid(n, dim=2), rng)
+    u0 = problems.perturbed_control(inst, rng)
+    trace = descent_loop(inst["control_problem"], u0, steps=steps, side=side)
     out = _out_dir(args)
     write_descent_csv(out / "control_trace.csv", trace.rows)
     objectives = [row["objective"] for row in trace.rows]

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .controls import apply_control_derivative
 from .errors import InvalidD
@@ -33,25 +32,14 @@ from .multipliers import (
     classify_sets,
 )
 from .obstacle import (
-    DIRECT_SOLVE_LIMIT,
     BopProblem,
     BopSolution,
-    NoConvergence,
+    _reduced_solve,
     solve_bop,
     solve_vi_bounds,
 )
 
 SIDES = ("lower", "upper")
-
-
-@dataclass(frozen=True, eq=False)
-class DerivativeRequest:
-    problem: BopProblem
-    u: GridFunction
-    h: GridFunction
-    variant: str = "directional"      # directional | gateaux | generalized
-    side: str = "lower"
-    D_override: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,19 +60,9 @@ def _base_solution(problem, u, solution, partition, eps_active, eps_mult):
 
 def reduced_linear_solve(operator, rhs: np.ndarray, mask: np.ndarray,
                          adjoint: bool = False) -> np.ndarray:
-    """Solve A[mask,mask] x = rhs[mask], zero elsewhere."""
+    """Solve A[mask,mask] x = rhs[mask] (A^T with adjoint=True), zero elsewhere."""
     matrix = operator.adjoint_matrix if adjoint else operator.matrix
-    x = np.zeros_like(rhs)
-    if mask.any():
-        sub = matrix[mask][:, mask].tocsc()
-        if sub.shape[0] <= DIRECT_SOLVE_LIMIT:
-            x[mask] = spla.splu(sub).solve(rhs[mask])
-        else:
-            sol, info = spla.cg(sub, rhs[mask], rtol=1e-12, atol=0.0)
-            if info != 0:
-                raise NoConvergence("reduced/cg", info, np.nan)
-            x[mask] = sol
-    return x
+    return _reduced_solve(matrix, rhs, mask, np.zeros_like(rhs))
 
 
 def directional_derivative(
@@ -199,21 +177,6 @@ def generalized_derivative(
         side=side,
         diagnostics={"dim_D": int(D.sum()), "counts": partition.counts()},
     )
-
-
-def evaluate(request: DerivativeRequest) -> DerivativeResult:
-    """Dispatch a derivative request to the matching routine."""
-    if request.variant == "directional":
-        return directional_derivative(request.problem, request.u, request.h)
-    if request.variant == "gateaux":
-        return gateaux_derivative_on_D(
-            request.problem, request.u, request.h, D_override=request.D_override
-        )
-    if request.variant == "generalized":
-        return generalized_derivative(
-            request.problem, request.u, request.h, side=request.side
-        )
-    raise InvalidD(f"unknown derivative variant {request.variant!r}")
 
 
 def verify_set_sandwich(

@@ -259,17 +259,9 @@ def coercivity_constant(op: AssembledOperator) -> float:
     return float(np.linalg.eigvalsh(sym)[0])
 
 
-def _smallest_axis_spacing(grid: Grid) -> float:
-    return min(grid.spacing)
-
-
 def natural_scale(grid: Grid) -> float:
     """Scale h_min^2 turning a load-vector residual into state units."""
-    return _smallest_axis_spacing(grid) ** 2
-
-
-def mass_weight(grid: Grid) -> float:
-    return grid.mass
+    return min(grid.spacing) ** 2
 
 
 def mass_norm(f: GridFunction) -> float:

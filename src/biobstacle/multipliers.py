@@ -153,22 +153,6 @@ def classify_sets(
     )
 
 
-def classification_sensitivity(
-    solution: BopSolution,
-    eps_active: float = EPS_ACTIVE,
-    eps_mult: float = EPS_MULT,
-    factors: tuple[float, ...] = (0.1, 1.0, 10.0),
-) -> dict:
-    """Set cardinalities at scaled thresholds; flags classifications that move."""
-    rows = []
-    for f in factors:
-        part = classify_sets(solution, eps_active=f * eps_active, eps_mult=f * eps_mult)
-        rows.append({"factor": f, **part.counts()})
-    base = {k: v for k, v in rows[0].items() if k != "factor"}
-    stable = all({k: v for k, v in r.items() if k != "factor"} == base for r in rows)
-    return {"rows": rows, "stable": stable}
-
-
 def node_flags(partition: SetPartition) -> np.ndarray:
     """Per-node string flag: 'lower' / 'upper' / 'inactive'."""
     flags = np.where(
@@ -204,10 +188,6 @@ class CriticalCone:
         lo = np.where(np.isin(self.classes, (NONNEG, ZERO)), 0.0, -np.inf)
         hi = np.where(np.isin(self.classes, (NONPOS, ZERO)), 0.0, np.inf)
         return lo, hi
-
-    def project(self, z: np.ndarray) -> np.ndarray:
-        lo, hi = self.bounds()
-        return np.clip(z, lo, hi)
 
     def contains(self, z: np.ndarray, tol: float = 0.0) -> bool:
         lo, hi = self.bounds()
@@ -253,10 +233,9 @@ def verify_strict_set_monotonicity(
     if cross_check_reflection and problem.control.kind == "identity":
         mirrored = reflect_problem(problem)
         swaps = 0
-        for sol in (sol_hi, sol_lo):
+        for sol, opart in ((sol_hi, part_hi), (sol_lo, part_lo)):
             msol = solve_bop(mirrored, sol.u.with_values(-sol.u.values), method=method)
             mpart = classify_sets(msol, eps_active, eps_mult)
-            opart = classify_sets(sol, eps_active, eps_mult)
             swaps += int((mpart.lower != opart.upper).sum())
             swaps += int((mpart.upper != opart.lower).sum())
             swaps += int((mpart.lower_strict != opart.upper_strict).sum())

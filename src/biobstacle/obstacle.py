@@ -30,9 +30,6 @@ from .grid import AssembledOperator, Grid, GridFunction, natural_scale, require_
 PSOR_DEFAULTS = {"omega": 1.5, "tol": 1e-8, "max_iter": 200_000}
 PDAS_DEFAULTS = {"tol": 1e-10, "max_iter": 200}
 
-# direct factorization below this many unknowns, iterative above
-DIRECT_SOLVE_LIMIT = 100_000
-
 
 @dataclass(frozen=True, eq=False)
 class ObstaclePair:
@@ -136,26 +133,18 @@ def _psor_bounds(
 def _reduced_solve(
     matrix: sp.csr_matrix,
     b: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    act_lo: np.ndarray,
-    act_up: np.ndarray,
+    free: np.ndarray,
+    x: np.ndarray,
 ) -> np.ndarray:
-    """Fix x on the active sets, solve the remaining square system exactly."""
-    x = np.zeros_like(b)
-    x[act_lo] = lo[act_lo]
-    x[act_up] = hi[act_up]
-    free = ~(act_lo | act_up)
+    """Solve A[free,free] x_free = b_free - A[free,~free] x_~free in place.
+
+    x keeps its values off the free set. This is the one masked direct solve
+    behind PDAS steps and the reduced derivative and adjoint systems.
+    """
     if free.any():
-        sub = matrix[free][:, free].tocsc()
-        rhs = b[free] - matrix[free][:, ~free] @ x[~free]
-        if sub.shape[0] <= DIRECT_SOLVE_LIMIT:
-            x[free] = spla.splu(sub).solve(rhs)
-        else:
-            sol, info = spla.cg(sub, rhs, rtol=1e-12, atol=0.0)
-            if info != 0:
-                raise NoConvergence("pdas/cg", info, np.nan)
-            x[free] = sol
+        rows = matrix[free]
+        rhs = b[free] - rows[:, ~free] @ x[~free]
+        x[free] = spla.splu(rows[:, free].tocsc()).solve(rhs)
     return x
 
 
@@ -188,7 +177,10 @@ def _pdas_bounds(
     seen = set()
     err = np.inf
     for it in range(max_iter + 1):
-        x = _reduced_solve(matrix, b, lo, hi, act_lo, act_up)
+        x = np.zeros_like(b)
+        x[act_lo] = lo[act_lo]
+        x[act_up] = hi[act_up]
+        _reduced_solve(matrix, b, ~(act_lo | act_up), x)
         xi = matrix @ x - b
         with np.errstate(invalid="ignore"):
             new_lo = xi + c * (lo - x) > 0

@@ -6,6 +6,9 @@ patches and back-computes the control from the residual: given a state
 y*, a multiplier xi* supported on the patches with the right signs, the
 control image must equal A y* - xi*, which the superposition profiles can
 invert nodewise because their slopes are bounded below by 1.
+
+The derivative, Mosco and control experiments build their instances here,
+so the command line and the verification criteria share one recipe each.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ from scipy.sparse.linalg import spsolve
 
 from .controls import PROFILES, ControlOperator, apply_control
 from .errors import InvalidSpec
-from .grid import Grid, GridFunction, OperatorSpec, assemble
+from .grid import OPERATOR_KINDS, Grid, GridFunction, OperatorSpec, assemble
 from .obstacle import BopProblem, ObstaclePair
-
-OPERATOR_KINDS = ("laplacian", "laplacian_plus_reaction", "laplacian_plus_convection")
+from .tracking import ControlProblem
 
 
 def unit_grid(n: int, dim: int = 2) -> Grid:
@@ -58,7 +60,7 @@ def mode_field(grid: Grid, amplitude: float) -> GridFunction:
 
 def random_operator(grid: Grid, rng: np.random.Generator,
                     kinds: Iterable[str] = OPERATOR_KINDS) -> OperatorSpec:
-    kind = rng.choice(list(kinds))
+    kind = str(rng.choice(list(kinds)))
     if kind == "laplacian":
         return OperatorSpec(kind="laplacian")
     if kind == "laplacian_plus_reaction":
@@ -263,3 +265,44 @@ def strict_instance(grid: Grid, **kwargs) -> dict:
 
 def biactive_instance(grid: Grid, **kwargs) -> dict:
     return manufactured_instance(grid, biactive=True, **kwargs)
+
+
+def derivative_instance(grid: Grid, amplitude: float = 50.0) -> dict:
+    """Strict-contact instance plus the mode-field probe direction "h"."""
+    inst = strict_instance(grid)
+    inst["h"] = mode_field(grid, amplitude)
+    return inst
+
+
+def mosco_instance(grid: Grid) -> dict:
+    """Biactive instance plus the probe "h" and the control perturbation
+    "e" = 5 of the Mosco schedule u_n = u -+ e/n."""
+    inst = biactive_instance(grid)
+    inst["h"] = mode_field(grid, 50.0)
+    inst["e"] = grid.constant(5.0)
+    return inst
+
+
+def control_instance(grid: Grid, rng: np.random.Generator) -> dict:
+    """Strict-contact instance plus a tracking problem "control_problem".
+
+    The target is y* minus a smooth field, drawn from rng, whose peak is ten
+    times that of y*.
+    """
+    inst = strict_instance(grid)
+    y_amp = float(np.abs(inst["y_star"].values).max())
+    y_target = grid.function(
+        inst["y_star"].values
+        - smooth_field(grid, rng, amplitude=10.0 * y_amp).values
+    )
+    inst["control_problem"] = ControlProblem(bop=inst["problem"],
+                                             y_target=y_target, alpha=1e-10)
+    return inst
+
+
+def perturbed_control(inst: dict, rng: np.random.Generator) -> GridFunction:
+    """A generic control near the manufactured one: u* + smooth_field(0.1)."""
+    grid = inst["problem"].grid
+    return grid.function(
+        inst["u"].values + smooth_field(grid, rng, amplitude=0.1).values
+    )

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, GridFunction
+from .grid import Grid
 from .multipliers import SetPartition, node_flags
 from .obstacle import BopSolution
 
@@ -74,16 +74,6 @@ def write_csv(path, header: list[str], rows) -> Path:
 def _coordinate_columns(grid: Grid) -> tuple[list[str], np.ndarray]:
     names = ["x", "y_coord"][: grid.dim]
     return names, grid.coordinates()
-
-
-def write_grid_function_csv(path, f: GridFunction) -> Path:
-    """Columns: node, x[, y_coord], value."""
-    names, coords = _coordinate_columns(f.grid)
-    rows = (
-        [i, *coords[i], f.values[i]]
-        for i in range(f.grid.total)
-    )
-    return write_csv(path, ["node", *names, "value"], rows)
 
 
 def write_solution_csv(path, solution: BopSolution,

@@ -36,7 +36,7 @@ from .radial_series import (
     verify_vi_solution_property,
 )
 from .reporting import render_json
-from .tracking import ControlProblem, adjoint_subgradient, descent_loop, objective
+from .tracking import adjoint_subgradient, descent_loop, objective
 
 MULTIPLIER_NOISE = 1e-11  # solver-level multiplier noise, far below eps_mult
 
@@ -239,12 +239,11 @@ def criterion_5(seed: int) -> dict:
 def criterion_6(seed: int) -> dict:
     """Cone-VI and reduced-system derivatives agree under strict
     complementarity; one-sided FD quotients converge at first order."""
-    inst = problems.strict_instance(problems.unit_grid(32, dim=2))
-    problem, u = inst["problem"], inst["u"]
+    inst = problems.derivative_instance(problems.unit_grid(32, dim=2))
+    problem, u, h = inst["problem"], inst["u"], inst["h"]
     sol = solve_bop(problem, u)
     part = classify_sets(sol)
     manufactured_state_gap = float(np.abs(sol.y.values - inst["y_star"].values).max())
-    h = problems.mode_field(problem.grid, 50.0)
     h_neg = h.with_values(-h.values)
 
     cone_plus = directional_derivative(problem, u, h, solution=sol, partition=part,
@@ -284,11 +283,8 @@ def criterion_6(seed: int) -> dict:
 def criterion_7(seed: int) -> dict:
     """Mosco experiment on a biactive instance: converging one-sided
     derivatives, and genuinely different limits for the two sides."""
-    inst = problems.biactive_instance(problems.unit_grid(32, dim=2))
-    problem, u = inst["problem"], inst["u"]
-    grid = problem.grid
-    h = problems.mode_field(grid, 50.0)
-    e = grid.constant(5.0)
+    inst = problems.mosco_instance(problems.unit_grid(32, dim=2))
+    problem, u, h, e = inst["problem"], inst["u"], inst["h"], inst["e"]
     schedule = (2, 4, 8, 16, 32, 64, 128, 256)
 
     runs = {}
@@ -331,24 +327,16 @@ def criterion_8(seed: int) -> dict:
     """Adjoint identity, central-difference gradient check at generic
     controls, and strict descent of the tracking objective."""
     rng = _rng(seed, 8)
-    inst = problems.strict_instance(problems.unit_grid(32, dim=2))
-    problem, u_star = inst["problem"], inst["u"]
+    inst = problems.control_instance(problems.unit_grid(32, dim=2), rng)
+    problem, cp = inst["problem"], inst["control_problem"]
     grid = problem.grid
-    y_amp = float(np.abs(inst["y_star"].values).max())
-    y_target = grid.function(
-        inst["y_star"].values
-        - problems.smooth_field(grid, rng, amplitude=10.0 * y_amp).values
-    )
-    cp = ControlProblem(bop=problem, y_target=y_target, alpha=1e-10)
 
     worst_adjoint = 0.0
     worst_cd = 0.0
     weak_nodes = 0
     t = 1e-3
     for _ in range(10):
-        u = grid.function(
-            u_star.values + problems.smooth_field(grid, rng, amplitude=0.1).values
-        )
+        u = problems.perturbed_control(inst, rng)
         sol = solve_bop(problem, u)
         part = classify_sets(sol)
         weak_nodes += int((part.lower_weak | part.upper_weak).sum())
@@ -367,10 +355,8 @@ def criterion_8(seed: int) -> dict:
             directional = float(sub.g.values @ w.values)
             worst_cd = max(worst_cd, abs(directional - cd) / max(abs(cd), 1e-300))
 
-    u0 = grid.function(
-        u_star.values + problems.smooth_field(grid, rng, amplitude=0.1).values
-    )
-    trace = descent_loop(cp, u0, steps=50, side="lower")
+    trace = descent_loop(cp, problems.perturbed_control(inst, rng), steps=50,
+                         side="lower")
     objectives = [row["objective"] for row in trace.rows]
     strict_decrease = all(b < a for a, b in zip(objectives, objectives[1:]))
 

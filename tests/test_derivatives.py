@@ -12,17 +12,18 @@ import numpy as np
 import pytest
 
 from biobstacle import (
+    OperatorSpec,
+    assemble,
     classify_sets,
     directional_derivative,
     domain_for_side,
-    evaluate,
     gateaux_derivative_on_D,
     generalized_derivative,
     mosco_convergence_experiment,
     solve_bop,
     verify_set_sandwich,
 )
-from biobstacle.derivatives import DerivativeRequest, reduced_linear_solve
+from biobstacle.derivatives import reduced_linear_solve
 from biobstacle.errors import InvalidD
 from biobstacle.problems import biactive_instance, mode_field, strict_instance, unit_grid
 
@@ -182,27 +183,24 @@ def test_one_sided_quotients_match_their_side(biactive_setup):
     assert ((cone >= lo) & (cone <= hi)).mean() > 0.99
 
 
-def test_evaluate_dispatch(biactive_setup):
-    inst, _, _ = biactive_setup
-    problem, u = inst["problem"], inst["u"]
-    h = _h(problem.grid)
-    for variant, side in (("directional", "lower"), ("gateaux", "lower"),
-                          ("generalized", "upper")):
-        res = evaluate(DerivativeRequest(problem=problem, u=u, h=h,
-                                         variant=variant, side=side))
-        assert res.eta.values.shape == (problem.grid.total,)
-    with pytest.raises(InvalidD):
-        evaluate(DerivativeRequest(problem=problem, u=u, h=h, variant="mystery"))
-
-
-def test_reduced_solve_zero_outside_domain(strict_setup):
+@pytest.mark.parametrize("kind", ["manufactured", "convection"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_reduced_solve_zero_outside_domain(strict_setup, kind, adjoint):
+    """The masked solve on D = inactive set: A[D,D] x_D = rhs_D (A^T with
+    adjoint=True) and x = 0 off D, also for a nonsymmetric operator."""
     inst, sol, part = strict_setup
-    problem = inst["problem"]
+    operator = inst["problem"].operator
+    if kind == "convection":
+        operator = assemble(operator.grid, OperatorSpec(
+            kind="laplacian_plus_convection", convection=(30.0, -20.0)))
+        assert abs(operator.matrix - operator.adjoint_matrix).max() > 0
+    matrix = operator.adjoint_matrix if adjoint else operator.matrix
+    D = part.inactive
     rng = np.random.default_rng(8)
-    rhs = rng.standard_normal(problem.grid.total)
-    eta = reduced_linear_solve(problem.operator, rhs, part.inactive)
-    assert (eta[~part.inactive] == 0.0).all()
-    res = (problem.operator.matrix @ eta - rhs)[part.inactive]
+    rhs = rng.standard_normal(operator.grid.total)
+    eta = reduced_linear_solve(operator, rhs, D, adjoint=adjoint)
+    assert (eta[~D] == 0.0).all()
+    res = (matrix @ eta - rhs)[D]
     assert np.abs(res).max() <= 1e-8 * max(1.0, np.abs(rhs).max())
 
 

@@ -22,7 +22,6 @@ from biobstacle.reporting import (
     write_csv,
     write_derivative_csv,
     write_descent_csv,
-    write_grid_function_csv,
     write_json,
     write_mosco_csv,
     write_series_csv,
@@ -108,23 +107,6 @@ def test_write_csv_is_byte_deterministic(tmp_path):
     first = write_csv(tmp_path / "one.csv", ["x", "k"], rows).read_bytes()
     second = write_csv(tmp_path / "two.csv", ["x", "k"], rows).read_bytes()
     assert first == second
-
-
-def test_grid_function_csv_columns(tmp_path):
-    grid1 = unit_grid(3, dim=1)
-    f = grid1.function(np.array([1.0, 2.0, 3.0]))
-    lines = write_grid_function_csv(
-        tmp_path / "f1.csv", f).read_text().splitlines()
-    assert lines[0] == "node,x,value"
-    assert lines[1].startswith("0,0.25,")
-    assert len(lines) == 1 + grid1.total
-
-    grid2 = unit_grid(2, dim=2)
-    g = grid2.function(np.zeros(grid2.total))
-    lines = write_grid_function_csv(
-        tmp_path / "f2.csv", g).read_text().splitlines()
-    assert lines[0] == "node,x,y_coord,value"
-    assert len(lines) == 1 + grid2.total
 
 
 def test_solution_csv_flags(tmp_path):

@@ -7,6 +7,7 @@ The larger 2D checks then play the two solvers against each other.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biobstacle import (
     BopProblem,
@@ -29,9 +30,17 @@ from biobstacle.errors import (
     NoConvergence,
     UnsupportedControlKind,
 )
-from biobstacle.grid import natural_scale
+from biobstacle.grid import OPERATOR_KINDS, natural_scale
+from biobstacle.multipliers import classify_sets, node_flags
 from biobstacle.obstacle import natural_residual
-from biobstacle.problems import monotone_control_pair, random_instance, unit_grid
+from biobstacle.problems import (
+    monotone_control_pair,
+    random_instance,
+    random_operator,
+    unit_grid,
+)
+
+CONTROL_KINDS = ("identity", "smooth_monotone_superposition", "affine_monotone")
 
 
 def _box_problem(n=5, lo=-0.002, hi=0.002, kind="identity"):
@@ -79,6 +88,41 @@ def test_solvers_match_enumeration_on_random_1d(method):
         ref = solve_by_enumeration(problem, u)
         sol = solve_bop(problem, u, method=method, tol=1e-11)
         np.testing.assert_allclose(sol.y.values, ref.y.values, atol=1e-8)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    operator_kind=st.sampled_from(OPERATOR_KINDS),
+    control_kind=st.sampled_from(CONTROL_KINDS),
+    active_fraction=st.floats(0.05, 0.45),
+)
+@settings(max_examples=72, deadline=None)
+def test_pdas_psor_enumeration_agree(seed, n, operator_kind, control_kind,
+                                     active_fraction):
+    """Every operator kind times every control kind, at contact fractions
+    from sparse to nearly all nodes: both solvers reproduce the oracle's
+    state and its lower/inactive/upper pattern."""
+    problem, u = random_instance(
+        unit_grid(n, dim=1), np.random.default_rng(seed),
+        operator_kinds=(operator_kind,), control_kinds=(control_kind,),
+        active_fraction=active_fraction,
+    )
+    ref = solve_by_enumeration(problem, u)
+    ref_flags = node_flags(classify_sets(ref))
+    for method in ("pdas", "psor"):
+        sol = solve_bop(problem, u, method=method, tol=1e-10)
+        assert np.abs(sol.y.values - ref.y.values).max() <= 1e-8
+        assert (node_flags(classify_sets(sol)) == ref_flags).all()
+
+
+def test_random_operator_kind_is_plain_str():
+    rng = np.random.default_rng(0)
+    for kind in OPERATOR_KINDS:
+        for _ in range(5):
+            spec = random_operator(unit_grid(6, dim=2), rng, kinds=(kind,))
+            assert spec.kind == kind
+            assert type(spec.kind) is str
 
 
 def test_enumeration_certifies_complementarity():
