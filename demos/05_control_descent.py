@@ -8,7 +8,14 @@ Armijo line search along its negative makes steady progress.
 
 import numpy as np
 
-from biobstacle import ControlProblem, adjoint_subgradient, descent_loop, objective
+from biobstacle import (
+    ControlProblem,
+    adjoint_subgradient,
+    classify_sets,
+    descent_loop,
+    objective,
+    solve_bop,
+)
 from biobstacle.problems import smooth_field, strict_instance, unit_grid
 
 inst = strict_instance(unit_grid(20, dim=2))
@@ -23,9 +30,11 @@ y_target = grid.function(
 cp = ControlProblem(bop=problem, y_target=y_target, alpha=1e-10)
 
 u0 = grid.function(u_star.values + smooth_field(grid, rng, amplitude=0.1).values)
-print("objective at the start:", objective(cp, u0))
+# the objective and its subgradient are read off one solve at u0
+sol0 = solve_bop(problem, u0)
+print("objective at the start:", objective(cp, sol0))
 
-sub = adjoint_subgradient(cp, u0, side="lower")
+sub = adjoint_subgradient(cp, sol0, classify_sets(sol0), side="lower")
 print("initial subgradient norm:", float(np.linalg.norm(sub.g.values)))
 print("adjoint state vanishes on the contact sets:",
       float(np.abs(sub.q.values[~sub.D_used]).max()))

@@ -140,12 +140,9 @@ def run_derivative(args) -> dict:
     problem, u, h = inst["problem"], inst["u"], inst["h"]
     solution = solve_bop(problem, u)
     partition = classify_sets(solution)
-    cone = directional_derivative(problem, u, h, solution=solution,
-                                  partition=partition, tol=1e-12)
-    reduced = generalized_derivative(problem, u, h, side=side,
-                                     solution=solution, partition=partition)
-    inactive = gateaux_derivative_on_D(problem, u, h, solution=solution,
-                                       partition=partition)
+    cone = directional_derivative(solution, partition, h)
+    reduced = generalized_derivative(solution, partition, h, side)
+    inactive = gateaux_derivative_on_D(solution, partition, h)
     agreement = float(np.abs(cone.eta.values - inactive.eta.values).max())
     out = _out_dir(args)
     write_derivative_csv(out / "derivative_eta.csv", problem.grid,
@@ -174,8 +171,10 @@ def run_mosco(args) -> dict:
     schedule_text = str(_setting(args, config, "schedule", "2:256"))
     schedule = _parse_schedule(schedule_text)
     inst = problems.mosco_instance(problems.unit_grid(n, dim=2))
-    result = mosco_convergence_experiment(inst["problem"], inst["u"], inst["h"],
-                                          side=side, schedule=schedule, e=inst["e"])
+    solution = solve_bop(inst["problem"], inst["u"])
+    partition = classify_sets(solution)
+    result = mosco_convergence_experiment(solution, partition, inst["h"], side=side,
+                                          schedule=schedule, e=inst["e"])
     out = _out_dir(args)
     write_mosco_csv(out / "mosco_errors.csv", result["steps"])
     report = {

@@ -6,13 +6,16 @@ Three routes, kept deliberately independent so they can certify each other:
 * directional_derivative: projected SOR on the critical-cone VI
   <A eta - f'(u) h, z - eta> >= 0 over the cone of admissible directions.
 * gateaux_derivative_on_D: exact reduced linear solve A_DD eta_D = (f'(u)h)_D,
-  eta = 0 outside D, for a caller-chosen D squeezed between the inactive set
-  and the complement of the strictly active set.
+  eta = 0 outside D, on D = the inactive set.
 * generalized_derivative: the two canonical one-sided choices of D obtained
   from monotone approach directions; side="lower" approaches the control from
   below (D = inactive plus weak upper contact), side="upper" from above
   (D = inactive plus weak lower contact). Under strict complementarity both
   collapse to D = inactive and agree with the cone VI.
+
+Each route differentiates at a solved point: it takes the BopSolution at u
+and that solution's SetPartition, and reads the problem and u off the
+solution.
 """
 
 from __future__ import annotations
@@ -24,22 +27,11 @@ import numpy as np
 from .controls import apply_control_derivative
 from .errors import InvalidD
 from .grid import GridFunction, require_same_grid
-from .multipliers import (
-    EPS_ACTIVE,
-    EPS_MULT,
-    CriticalCone,
-    SetPartition,
-    classify_sets,
-)
-from .obstacle import (
-    BopProblem,
-    BopSolution,
-    _reduced_solve,
-    solve_bop,
-    solve_vi_bounds,
-)
+from .multipliers import CriticalCone, SetPartition, classify_sets
+from .obstacle import BopSolution, _reduced_solve, solve_bop, solve_vi_bounds
 
 SIDES = ("lower", "upper")
+CONE_TOL = 1e-12   # natural-residual tolerance of the cone VI
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,14 +42,6 @@ class DerivativeResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _base_solution(problem, u, solution, partition, eps_active, eps_mult):
-    if solution is None:
-        solution = solve_bop(problem, u, method="pdas")
-    if partition is None:
-        partition = classify_sets(solution, eps_active, eps_mult)
-    return solution, partition
-
-
 def reduced_linear_solve(operator, rhs: np.ndarray, mask: np.ndarray,
                          adjoint: bool = False) -> np.ndarray:
     """Solve A[mask,mask] x = rhs[mask] (A^T with adjoint=True), zero elsewhere."""
@@ -65,34 +49,28 @@ def reduced_linear_solve(operator, rhs: np.ndarray, mask: np.ndarray,
     return _reduced_solve(matrix, rhs, mask, np.zeros_like(rhs))
 
 
+def _derivative_load(solution: BopSolution, h: GridFunction) -> np.ndarray:
+    """f'(u) h, the load of every derivative system at the solved point."""
+    require_same_grid(solution.u, h)
+    return apply_control_derivative(solution.problem.control, solution.u, h).values
+
+
 def directional_derivative(
-    problem: BopProblem,
-    u: GridFunction,
+    solution: BopSolution,
+    partition: SetPartition,
     h: GridFunction,
-    solution: BopSolution | None = None,
-    partition: SetPartition | None = None,
-    method: str = "psor",
-    tol: float = 1e-10,
-    omega: float | None = None,
-    max_iter: int | None = None,
-    eps_active: float = EPS_ACTIVE,
-    eps_mult: float = EPS_MULT,
 ) -> DerivativeResult:
-    """Directional derivative of the solution operator at u along h.
+    """Directional derivative of the solution operator at solution.u along h.
 
     Solves the VI over the critical cone with projected SOR using per-node
     projections (free / nonneg / nonpos / zero).
     """
-    require_same_grid(u, h)
-    solution, partition = _base_solution(problem, u, solution, partition,
-                                         eps_active, eps_mult)
     cone = CriticalCone.from_partition(partition)
-    rhs = apply_control_derivative(problem.control, u, h).values
+    rhs = _derivative_load(solution, h)
     lo, hi = cone.bounds()
-    eta, iters, err = solve_vi_bounds(
-        problem.operator, rhs, lo, hi,
-        method=method, tol=tol, omega=omega, max_iter=max_iter,
-    )
+    problem = solution.problem
+    eta, iters, err = solve_vi_bounds(problem.operator, rhs, lo, hi,
+                                      method="psor", tol=CONE_TOL)
     if not cone.contains(eta, tol=1e-12):
         raise InvalidD("cone VI solution left the critical cone")
     return DerivativeResult(
@@ -104,40 +82,23 @@ def directional_derivative(
     )
 
 
-def _validate_D(D: np.ndarray, partition: SetPartition) -> np.ndarray:
-    D = np.asarray(D, dtype=bool)
-    if D.shape != partition.inactive.shape:
-        raise InvalidD("domain mask has the wrong length")
-    if (partition.inactive & ~D).any():
-        raise InvalidD("domain must contain every inactive node")
-    if (D & partition.strict).any():
-        raise InvalidD("domain must avoid every strictly active node")
-    return D
+def _reduced_derivative(solution: BopSolution, h: GridFunction, D: np.ndarray,
+                        side: str | None, diagnostics: dict) -> DerivativeResult:
+    problem = solution.problem
+    eta = reduced_linear_solve(problem.operator, _derivative_load(solution, h), D)
+    return DerivativeResult(
+        eta=problem.grid.function(eta), D_used=D, side=side, diagnostics=diagnostics
+    )
 
 
 def gateaux_derivative_on_D(
-    problem: BopProblem,
-    u: GridFunction,
+    solution: BopSolution,
+    partition: SetPartition,
     h: GridFunction,
-    D_override: np.ndarray | None = None,
-    solution: BopSolution | None = None,
-    partition: SetPartition | None = None,
-    eps_active: float = EPS_ACTIVE,
-    eps_mult: float = EPS_MULT,
 ) -> DerivativeResult:
-    """Reduced variational equation on D (default: the inactive set)."""
-    require_same_grid(u, h)
-    solution, partition = _base_solution(problem, u, solution, partition,
-                                         eps_active, eps_mult)
-    D = partition.inactive if D_override is None else _validate_D(D_override, partition)
-    rhs = apply_control_derivative(problem.control, u, h).values
-    eta = reduced_linear_solve(problem.operator, rhs, D)
-    return DerivativeResult(
-        eta=problem.grid.function(eta),
-        D_used=D,
-        side=None,
-        diagnostics={"dim_D": int(D.sum())},
-    )
+    """Reduced variational equation on D = the inactive set."""
+    D = partition.inactive
+    return _reduced_derivative(solution, h, D, None, {"dim_D": int(D.sum())})
 
 
 def domain_for_side(partition: SetPartition, side: str) -> np.ndarray:
@@ -154,28 +115,16 @@ def domain_for_side(partition: SetPartition, side: str) -> np.ndarray:
 
 
 def generalized_derivative(
-    problem: BopProblem,
-    u: GridFunction,
+    solution: BopSolution,
+    partition: SetPartition,
     h: GridFunction,
-    side: str = "lower",
-    solution: BopSolution | None = None,
-    partition: SetPartition | None = None,
-    eps_active: float = EPS_ACTIVE,
-    eps_mult: float = EPS_MULT,
+    side: str,
 ) -> DerivativeResult:
     """One-sided generalized derivative via the reduced equation on the
     side's canonical domain."""
-    require_same_grid(u, h)
-    solution, partition = _base_solution(problem, u, solution, partition,
-                                         eps_active, eps_mult)
     D = domain_for_side(partition, side)
-    rhs = apply_control_derivative(problem.control, u, h).values
-    eta = reduced_linear_solve(problem.operator, rhs, D)
-    return DerivativeResult(
-        eta=problem.grid.function(eta),
-        D_used=D,
-        side=side,
-        diagnostics={"dim_D": int(D.sum()), "counts": partition.counts()},
+    return _reduced_derivative(
+        solution, h, D, side, {"dim_D": int(D.sum()), "counts": partition.counts()}
     )
 
 
@@ -210,54 +159,43 @@ def verify_set_sandwich(
 
 
 def mosco_convergence_experiment(
-    problem: BopProblem,
-    u: GridFunction,
+    solution: BopSolution,
+    partition: SetPartition,
     h: GridFunction,
     side: str = "lower",
     schedule: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256),
     e: GridFunction | None = None,
-    eps_active: float = EPS_ACTIVE,
-    eps_mult: float = EPS_MULT,
 ) -> dict:
     """Reduced derivatives along a monotone control sequence u_n -> u.
 
+    The limit point is the given solution at u and its partition.
     u_n = u - e/n for side="lower" (approach from below), u_n = u + e/n for
     side="upper". For each n the instance is re-solved, re-classified, and the
     reduced derivative on that instance's one-sided domain is compared with
     the limit derivative. Reports the error decay and the set inclusion
     chains per step.
     """
-    require_same_grid(u, h)
-    if side not in SIDES:
-        raise InvalidD(f"side must be one of {SIDES}, got {side!r}")
+    problem, u = solution.problem, solution.u
     if e is None:
         e = problem.grid.constant(1.0)
     if (e.values <= 0).any():
         raise InvalidD("perturbation e must be positive nodewise")
     sign = -1.0 if side == "lower" else 1.0
 
-    limit_solution = solve_bop(problem, u, method="pdas")
-    limit_partition = classify_sets(limit_solution, eps_active, eps_mult)
-    limit_result = generalized_derivative(
-        problem, u, h, side=side,
-        solution=limit_solution, partition=limit_partition,
-    )
+    limit_result = generalized_derivative(solution, partition, h, side)
     eta_limit = limit_result.eta.values
 
     steps = []
     for n in schedule:
-        u_n = u.with_values(u.values + sign * e.values / n)
-        sol_n = solve_bop(problem, u_n, method="pdas")
-        part_n = classify_sets(sol_n, eps_active, eps_mult)
-        D_n = domain_for_side(part_n, side)
-        rhs_n = apply_control_derivative(problem.control, u_n, h).values
-        eta_n = reduced_linear_solve(problem.operator, rhs_n, D_n)
-        sandwich = verify_set_sandwich(limit_partition, part_n, side)
+        sol_n = solve_bop(problem, u.with_values(u.values + sign * e.values / n))
+        part_n = classify_sets(sol_n)
+        result_n = generalized_derivative(sol_n, part_n, h, side)
+        sandwich = verify_set_sandwich(partition, part_n, side)
         steps.append({
             "n": int(n),
-            "error": float(np.abs(eta_n - eta_limit).max()),
-            "state_gap": float(np.abs(sol_n.y.values - limit_solution.y.values).max()),
-            "dim_D": int(D_n.sum()),
+            "error": float(np.abs(result_n.eta.values - eta_limit).max()),
+            "state_gap": float(np.abs(sol_n.y.values - solution.y.values).max()),
+            "dim_D": int(result_n.D_used.sum()),
             "sandwich_ok": bool(sandwich["ok"]),
             "sandwich": {k: v for k, v in sandwich.items() if k != "ok"},
         })

@@ -204,10 +204,6 @@ def verify_strict_set_monotonicity(
     problem: BopProblem,
     u_hi: GridFunction,
     u_lo: GridFunction,
-    method: str = "pdas",
-    eps_active: float = EPS_ACTIVE,
-    eps_mult: float = EPS_MULT,
-    cross_check_reflection: bool = True,
 ) -> dict:
     """Check the ordered-control set inclusions for u_hi >= u_lo.
 
@@ -218,10 +214,10 @@ def verify_strict_set_monotonicity(
     """
     if (u_hi.values < u_lo.values).any():
         raise NotMonotonePair("controls are not nodewise ordered")
-    sol_hi = solve_bop(problem, u_hi, method=method)
-    sol_lo = solve_bop(problem, u_lo, method=method)
-    part_hi = classify_sets(sol_hi, eps_active, eps_mult)
-    part_lo = classify_sets(sol_lo, eps_active, eps_mult)
+    sol_hi = solve_bop(problem, u_hi)
+    sol_lo = solve_bop(problem, u_lo)
+    part_hi = classify_sets(sol_hi)
+    part_lo = classify_sets(sol_lo)
     report = {
         "lower_active_shrinks": int((part_hi.lower & ~part_lo.lower).sum()),
         "upper_active_grows": int((part_lo.upper & ~part_hi.upper).sum()),
@@ -230,12 +226,11 @@ def verify_strict_set_monotonicity(
     }
     report["ok"] = not any(v for k, v in report.items() if k != "ok")
     report["reflection_checked"] = False
-    if cross_check_reflection and problem.control.kind == "identity":
+    if problem.control.kind == "identity":
         mirrored = reflect_problem(problem)
         swaps = 0
         for sol, opart in ((sol_hi, part_hi), (sol_lo, part_lo)):
-            msol = solve_bop(mirrored, sol.u.with_values(-sol.u.values), method=method)
-            mpart = classify_sets(msol, eps_active, eps_mult)
+            mpart = classify_sets(solve_bop(mirrored, sol.u.with_values(-sol.u.values)))
             swaps += int((mpart.lower != opart.upper).sum())
             swaps += int((mpart.upper != opart.lower).sum())
             swaps += int((mpart.lower_strict != opart.upper_strict).sum())
@@ -243,7 +238,7 @@ def verify_strict_set_monotonicity(
         report["reflection_checked"] = True
         report["reflection_swap_mismatches"] = swaps
         report["ok"] = report["ok"] and swaps == 0
-    elif cross_check_reflection and problem.control.kind != "identity":
+    else:
         # reflection only commutes with odd control maps; record, don't fail
         report["reflection_skipped_kind"] = problem.control.kind
     return report

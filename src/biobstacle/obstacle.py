@@ -27,8 +27,9 @@ from .errors import (
 )
 from .grid import AssembledOperator, Grid, GridFunction, natural_scale, require_same_grid
 
-PSOR_DEFAULTS = {"omega": 1.5, "tol": 1e-8, "max_iter": 200_000}
-PDAS_DEFAULTS = {"tol": 1e-10, "max_iter": 200}
+PSOR_RELAXATION = 1.5
+# method -> (tolerance on the natural residual, iteration cap)
+SOLVER_DEFAULTS = {"psor": (1e-8, 200_000), "pdas": (1e-10, 200)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,21 +110,22 @@ def _psor_bounds(
     lo: np.ndarray,
     hi: np.ndarray,
     colors,
-    x0: np.ndarray,
-    omega: float,
+    x: np.ndarray,
+    relaxation: float,
     tol: float,
     max_iter: int,
     scale: float,
 ) -> tuple[np.ndarray, int, float]:
-    """Projected SOR onto [lo, hi], red-black sweep order, vectorized per color."""
-    x = np.clip(x0, lo, hi).astype(float)
+    """Projected SOR onto [lo, hi] from x, red-black sweep order, vectorized
+    per color."""
+    x = np.clip(x, lo, hi).astype(float)
     diag = matrix.diagonal()
     rows = [matrix[c] for c in colors]
     err = np.inf
     for it in range(1, max_iter + 1):
         for c, rows_c in zip(colors, rows):
             r = b[c] - rows_c @ x
-            x[c] = np.clip(x[c] + omega * r / diag[c], lo[c], hi[c])
+            x[c] = np.clip(x[c] + relaxation * r / diag[c], lo[c], hi[c])
         err = natural_residual(matrix, b, lo, hi, x, scale)
         if err <= tol:
             return x, it, err
@@ -153,7 +155,6 @@ def _pdas_bounds(
     b: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    c: float,
     tol: float,
     max_iter: int,
     scale: float,
@@ -161,9 +162,9 @@ def _pdas_bounds(
 ) -> tuple[np.ndarray, int, float]:
     """Primal-dual active set iteration; returns at a fixed point or small residual.
 
-    Active-set updates: lower-active iff xi + c*(lo - x) > 0, upper-active iff
-    -xi + c*(x - hi) > 0. Counts set updates, so an instance whose first
-    classification is already a fixed point reports 0 iterations.
+    Active-set updates, with c = 1/scale: lower-active iff xi + c*(lo - x) > 0,
+    upper-active iff -xi + c*(x - hi) > 0. Counts set updates, so an instance
+    whose first classification is already a fixed point reports 0 iterations.
 
     The set iteration can cycle when the obstacles nearly touch and nodes
     flip between the two bounds. A repeated set signature is detected and the
@@ -172,6 +173,7 @@ def _pdas_bounds(
     classification sees the same noise floor as an exact reduced solve.
     """
     n = b.size
+    c = 1.0 / scale
     act_lo = np.zeros(n, dtype=bool)
     act_up = np.zeros(n, dtype=bool)
     seen = set()
@@ -195,13 +197,23 @@ def _pdas_bounds(
         signature = (new_lo.tobytes(), new_up.tobytes())
         if signature in seen:
             x, extra, err = _psor_bounds(
-                matrix, b, lo, hi, colors, np.clip(x, lo, hi),
-                1.0, 0.01 * tol, PSOR_DEFAULTS["max_iter"], scale,
+                matrix, b, lo, hi, colors, x,
+                1.0, 0.01 * tol, SOLVER_DEFAULTS["psor"][1], scale,
             )
             return x, it + extra, err
         seen.add(signature)
         act_lo, act_up = new_lo, new_up
     raise NoConvergence("pdas", max_iter, err)
+
+
+def _solver_options(method: str, tol: float | None,
+                    max_iter: int | None) -> tuple[float, int]:
+    """The method's tolerance and iteration cap, defaults filled in."""
+    if method not in SOLVER_DEFAULTS:
+        raise ValueError(f"method must be 'psor' or 'pdas', got {method!r}")
+    default_tol, default_max_iter = SOLVER_DEFAULTS[method]
+    return (default_tol if tol is None else tol,
+            default_max_iter if max_iter is None else max_iter)
 
 
 def solve_vi_bounds(
@@ -211,48 +223,24 @@ def solve_vi_bounds(
     hi: np.ndarray,
     method: str = "pdas",
     tol: float | None = None,
-    omega: float | None = None,
     max_iter: int | None = None,
-    x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, float]:
     """Solve the box-constrained VI for general (possibly infinite) bounds.
 
     Shared backend for obstacle problems and for critical-cone problems,
-    whose bounds mix 0 and +-inf.
+    whose bounds mix 0 and +-inf. PSOR starts from the projection of 0.
     """
+    tol, max_iter = _solver_options(method, tol, max_iter)
     grid = operator.grid
     scale = natural_scale(grid)
-    if method == "psor":
-        opts = PSOR_DEFAULTS
-        start = x0 if x0 is not None else np.clip(np.zeros(grid.total), lo, hi)
-        if not np.isfinite(start).all():
-            raise InfeasibleObstacles("no finite starting point inside the bounds")
-        return _psor_bounds(
-            operator.matrix,
-            b,
-            lo,
-            hi,
-            grid.checkerboard(),
-            start,
-            omega if omega is not None else opts["omega"],
-            tol if tol is not None else opts["tol"],
-            max_iter if max_iter is not None else opts["max_iter"],
-            scale,
-        )
+    colors = grid.checkerboard()
     if method == "pdas":
-        opts = PDAS_DEFAULTS
-        return _pdas_bounds(
-            operator.matrix,
-            b,
-            lo,
-            hi,
-            1.0 / scale,
-            tol if tol is not None else opts["tol"],
-            max_iter if max_iter is not None else opts["max_iter"],
-            scale,
-            grid.checkerboard(),
-        )
-    raise ValueError(f"method must be 'psor' or 'pdas', got {method!r}")
+        return _pdas_bounds(operator.matrix, b, lo, hi, tol, max_iter, scale, colors)
+    start = np.clip(np.zeros(grid.total), lo, hi)
+    if not np.isfinite(start).all():
+        raise InfeasibleObstacles("no finite starting point inside the bounds")
+    return _psor_bounds(operator.matrix, b, lo, hi, colors, start,
+                        PSOR_RELAXATION, tol, max_iter, scale)
 
 
 def solve_bop(
@@ -260,24 +248,19 @@ def solve_bop(
     u: GridFunction,
     method: str = "pdas",
     tol: float | None = None,
-    omega: float | None = None,
     max_iter: int | None = None,
 ) -> BopSolution:
     """Solve the bilateral obstacle problem at control u.
 
-    method="psor": projected SOR, default relaxation 1.5, tolerance 1e-8.
+    method="psor": projected SOR, relaxation 1.5, default tolerance 1e-8.
     method="pdas": primal-dual active set with exact reduced solves,
     default tolerance 1e-10. Tolerances are on the natural residual
     max|y - median(psi, y - h_min^2 * xi, phi)|.
     """
     if u.grid != problem.grid:
         raise GridMismatch("control iterate lives on a different grid")
-    if method not in ("psor", "pdas"):
-        raise ValueError(f"method must be 'psor' or 'pdas', got {method!r}")
-    eff_tol = tol if tol is not None else (
-        PSOR_DEFAULTS["tol"] if method == "psor" else PDAS_DEFAULTS["tol"]
-    )
-    if problem.obstacles.separation <= 2.0 * eff_tol:
+    tol, max_iter = _solver_options(method, tol, max_iter)
+    if problem.obstacles.separation <= 2.0 * tol:
         raise InfeasibleObstacles(
             f"obstacle separation {problem.obstacles.separation:.3e} "
             f"is below twice the solve tolerance"
@@ -290,7 +273,6 @@ def solve_bop(
         problem.obstacles.phi,
         method=method,
         tol=tol,
-        omega=omega,
         max_iter=max_iter,
     )
     xi = problem.operator.matrix @ y - b
@@ -309,8 +291,6 @@ def solve_bop_with_obstacles(
     problem: BopProblem,
     u: GridFunction,
     psi_override: np.ndarray,
-    method: str = "pdas",
-    **kwargs,
 ) -> BopSolution:
     """Solve with the lower obstacle replaced; the pair must stay separated."""
     swapped = BopProblem(
@@ -319,7 +299,7 @@ def solve_bop_with_obstacles(
         obstacles=ObstaclePair(problem.grid, np.asarray(psi_override, dtype=float),
                                problem.obstacles.phi),
     )
-    return solve_bop(swapped, u, method=method, **kwargs)
+    return solve_bop(swapped, u)
 
 
 def reflect_problem(problem: BopProblem) -> BopProblem:

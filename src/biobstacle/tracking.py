@@ -8,20 +8,21 @@ reduced derivative system on a one-sided domain D:
     g = f'(u)^T q + alpha * mass * u.
 
 g is a plain-dot functional on control space: g . w equals the directional
-derivative of J along w wherever J is differentiable.
+derivative of J along w wherever J is differentiable. J and g are evaluated
+at a solved point: the BopSolution at u (and, for g, its SetPartition).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .controls import control_derivative_matrix
-from .derivatives import SIDES, domain_for_side, reduced_linear_solve
-from .errors import InvalidD, InvalidSpec
+from .derivatives import domain_for_side, reduced_linear_solve
+from .errors import InvalidSpec
 from .grid import GridFunction, mass_norm, require_same_grid
-from .multipliers import EPS_ACTIVE, EPS_MULT, classify_sets
+from .multipliers import SetPartition, classify_sets
 from .obstacle import BopProblem, BopSolution, solve_bop
 
 
@@ -55,33 +56,25 @@ class ArmijoParams:
     grad_tol: float = 0.0
 
 
-def objective(cp: ControlProblem, u: GridFunction,
-              solution: BopSolution | None = None) -> float:
-    if solution is None:
-        solution = solve_bop(cp.bop, u, method="pdas")
+def objective(cp: ControlProblem, solution: BopSolution) -> float:
+    """J at solution.u, from the state already solved there."""
     misfit = solution.y.with_values(solution.y.values - cp.y_target.values)
-    return 0.5 * mass_norm(misfit) ** 2 + 0.5 * cp.alpha * mass_norm(u) ** 2
+    return 0.5 * mass_norm(misfit) ** 2 + 0.5 * cp.alpha * mass_norm(solution.u) ** 2
 
 
 def adjoint_subgradient(
     cp: ControlProblem,
-    u: GridFunction,
+    solution: BopSolution,
+    partition: SetPartition,
     side: str = "lower",
-    solution: BopSolution | None = None,
-    eps_active: float = EPS_ACTIVE,
-    eps_mult: float = EPS_MULT,
 ) -> Subgradient:
-    """Subgradient of J at u from the side's reduced adjoint system."""
-    if side not in SIDES:
-        raise InvalidD(f"side must be one of {SIDES}, got {side!r}")
-    if solution is None:
-        solution = solve_bop(cp.bop, u, method="pdas")
-    partition = classify_sets(solution, eps_active, eps_mult)
+    """Subgradient of J at solution.u from the side's reduced adjoint system."""
     D = domain_for_side(partition, side)
-    grid = cp.bop.grid
+    problem, u = solution.problem, solution.u
+    grid = problem.grid
     j_y = grid.mass * (solution.y.values - cp.y_target.values)
-    q = reduced_linear_solve(cp.bop.operator, j_y, D, adjoint=True)
-    fprime = control_derivative_matrix(cp.bop.control, u)
+    q = reduced_linear_solve(problem.operator, j_y, D, adjoint=True)
+    fprime = control_derivative_matrix(problem.control, u)
     g = fprime.T @ q + cp.alpha * grid.mass * u.values
     return Subgradient(
         g=grid.function(g), q=grid.function(q), D_used=D, side=side
@@ -106,17 +99,19 @@ def descent_loop(
     """Projected-free subgradient descent u <- u - s*g with Armijo backtracking.
 
     Line-search failures are recorded in the trace (termination reason), never
-    raised; every accepted step strictly decreases the objective.
+    raised; every accepted step strictly decreases the objective. Each trial
+    control is solved once; the accepted trial's solution gives the next
+    subgradient.
     """
     grid = cp.bop.grid
-    u = u0
-    j = objective(cp, u)
+    solution = solve_bop(cp.bop, u0)
+    j = objective(cp, solution)
     trial = params.initial_step if params.initial_step is not None else 1.0 / grid.mass
     rows = []
     failures = 0
     termination = "max_steps"
     for it in range(1, steps + 1):
-        sub = adjoint_subgradient(cp, u, side=side)
+        sub = adjoint_subgradient(cp, solution, classify_sets(solution), side)
         g = sub.g.values
         slope = -float(g @ g)       # directional derivative along -g
         grad_norm = float(np.sqrt(-slope))
@@ -126,8 +121,9 @@ def descent_loop(
         s = trial
         accepted = False
         for _ in range(params.max_backtracks):
-            u_try = u.with_values(u.values - s * g)
-            j_try = objective(cp, u_try)
+            u_try = solution.u.with_values(solution.u.values - s * g)
+            trial_solution = solve_bop(cp.bop, u_try)
+            j_try = objective(cp, trial_solution)
             if j_try <= j + params.c1 * s * slope:
                 accepted = True
                 break
@@ -138,11 +134,11 @@ def descent_loop(
                          "grad_norm": grad_norm, "side": side})
             termination = "line_search_failure"
             break
-        u, j = u_try, j_try
+        solution, j = trial_solution, j_try
         rows.append({"iter": it, "objective": j, "step": s,
                      "grad_norm": grad_norm, "side": side})
         trial = s * params.growth
     return DescentTrace(
-        rows=rows, u_final=u, termination=termination,
+        rows=rows, u_final=solution.u, termination=termination,
         line_search_failures=failures,
     )

@@ -246,11 +246,9 @@ def criterion_6(seed: int) -> dict:
     manufactured_state_gap = float(np.abs(sol.y.values - inst["y_star"].values).max())
     h_neg = h.with_values(-h.values)
 
-    cone_plus = directional_derivative(problem, u, h, solution=sol, partition=part,
-                                       tol=1e-12)
-    cone_minus = directional_derivative(problem, u, h_neg, solution=sol, partition=part,
-                                        tol=1e-12)
-    reduced = gateaux_derivative_on_D(problem, u, h, solution=sol, partition=part)
+    cone_plus = directional_derivative(sol, part, h)
+    cone_minus = directional_derivative(sol, part, h_neg)
+    reduced = gateaux_derivative_on_D(sol, part, h)
     eta = reduced.eta.values
     agreement_plus = float(np.abs(cone_plus.eta.values - eta).max())
     agreement_minus = float(np.abs(cone_minus.eta.values + eta).max())
@@ -287,17 +285,13 @@ def criterion_7(seed: int) -> dict:
     problem, u, h, e = inst["problem"], inst["u"], inst["h"], inst["e"]
     schedule = (2, 4, 8, 16, 32, 64, 128, 256)
 
-    runs = {}
-    for side in ("lower", "upper"):
-        runs[side] = mosco_convergence_experiment(
-            problem, u, h, side=side, schedule=schedule, e=e
-        )
     sol = solve_bop(problem, u)
     part = classify_sets(sol)
-    eta_lower = generalized_derivative(problem, u, h, side="lower",
-                                       solution=sol, partition=part).eta.values
-    eta_upper = generalized_derivative(problem, u, h, side="upper",
-                                       solution=sol, partition=part).eta.values
+    runs = {side: mosco_convergence_experiment(sol, part, h, side=side,
+                                               schedule=schedule, e=e)
+            for side in ("lower", "upper")}
+    eta_lower = generalized_derivative(sol, part, h, "lower").eta.values
+    eta_upper = generalized_derivative(sol, part, h, "upper").eta.values
     side_gap = float(np.abs(eta_lower - eta_upper).max())
 
     return {
@@ -340,7 +334,7 @@ def criterion_8(seed: int) -> dict:
         sol = solve_bop(problem, u)
         part = classify_sets(sol)
         weak_nodes += int((part.lower_weak | part.upper_weak).sum())
-        sub = adjoint_subgradient(cp, u, side="lower", solution=sol)
+        sub = adjoint_subgradient(cp, sol, part, side="lower")
         fprime = control_derivative_matrix(problem.control, u)
         for _ in range(3):
             w = rng.standard_normal(grid.total)
@@ -349,9 +343,10 @@ def criterion_8(seed: int) -> dict:
             worst_adjoint = max(worst_adjoint, abs(lhs - rhs))
         for _ in range(2):
             w = problems.smooth_field(grid, rng, amplitude=1.0)
-            j_plus = objective(cp, u.with_values(u.values + t * w.values))
-            j_minus = objective(cp, u.with_values(u.values - t * w.values))
-            cd = (j_plus - j_minus) / (2.0 * t)
+            u_plus = u.with_values(u.values + t * w.values)
+            u_minus = u.with_values(u.values - t * w.values)
+            cd = (objective(cp, solve_bop(problem, u_plus))
+                  - objective(cp, solve_bop(problem, u_minus))) / (2.0 * t)
             directional = float(sub.g.values @ w.values)
             worst_cd = max(worst_cd, abs(directional - cd) / max(abs(cd), 1e-300))
 

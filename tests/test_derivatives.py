@@ -23,6 +23,7 @@ from biobstacle import (
     solve_bop,
     verify_set_sandwich,
 )
+from biobstacle import derivatives
 from biobstacle.derivatives import reduced_linear_solve
 from biobstacle.errors import InvalidD
 from biobstacle.problems import biactive_instance, mode_field, strict_instance, unit_grid
@@ -49,12 +50,10 @@ def _h(grid, amplitude=40.0):
 
 
 def test_directional_equals_reduced_under_strict_complementarity(strict_setup):
-    inst, sol, part = strict_setup
-    problem, u = inst["problem"], inst["u"]
-    h = _h(problem.grid)
-    cone = directional_derivative(problem, u, h, solution=sol, partition=part,
-                                  tol=1e-12)
-    reduced = gateaux_derivative_on_D(problem, u, h, solution=sol, partition=part)
+    _, sol, part = strict_setup
+    h = _h(sol.problem.grid)
+    cone = directional_derivative(sol, part, h)
+    reduced = gateaux_derivative_on_D(sol, part, h)
     np.testing.assert_allclose(cone.eta.values, reduced.eta.values, atol=1e-9)
     assert reduced.diagnostics["dim_D"] == int(part.inactive.sum())
 
@@ -63,7 +62,7 @@ def test_fd_quotients_converge_to_derivative(strict_setup):
     inst, sol, part = strict_setup
     problem, u = inst["problem"], inst["u"]
     h = _h(problem.grid)
-    eta = gateaux_derivative_on_D(problem, u, h, solution=sol, partition=part).eta.values
+    eta = gateaux_derivative_on_D(sol, part, h).eta.values
     errs = []
     for t in (1e-2, 1e-3, 1e-4):
         u_t = u.with_values(u.values + t * h.values)
@@ -75,26 +74,22 @@ def test_fd_quotients_converge_to_derivative(strict_setup):
 
 
 def test_positive_homogeneity(strict_setup):
-    inst, sol, part = strict_setup
-    problem, u = inst["problem"], inst["u"]
-    h = _h(problem.grid)
-    one = directional_derivative(problem, u, h, solution=sol, partition=part).eta.values
-    h3 = h.with_values(3.0 * h.values)
-    three = directional_derivative(problem, u, h3, solution=sol, partition=part).eta.values
+    _, sol, part = strict_setup
+    h = _h(sol.problem.grid)
+    one = directional_derivative(sol, part, h).eta.values
+    three = directional_derivative(sol, part, h.with_values(3.0 * h.values)).eta.values
     np.testing.assert_allclose(three, 3.0 * one, atol=1e-8)
 
 
 def test_linearity_under_strict_complementarity(strict_setup):
-    inst, sol, part = strict_setup
-    problem, u = inst["problem"], inst["u"]
-    grid = problem.grid
+    _, sol, part = strict_setup
+    grid = sol.problem.grid
     rng = np.random.default_rng(2)
     a = grid.function(rng.standard_normal(grid.total))
     b = grid.function(rng.standard_normal(grid.total))
 
     def reduced(h):
-        return gateaux_derivative_on_D(problem, u, h, solution=sol,
-                                       partition=part).eta.values
+        return gateaux_derivative_on_D(sol, part, h).eta.values
 
     combo = grid.function(2.0 * a.values - 0.5 * b.values)
     np.testing.assert_allclose(
@@ -103,51 +98,26 @@ def test_linearity_under_strict_complementarity(strict_setup):
 
 
 def test_negated_direction_flips_sign_when_strict(strict_setup):
-    inst, sol, part = strict_setup
-    problem, u = inst["problem"], inst["u"]
-    h = _h(problem.grid)
-    plus = directional_derivative(problem, u, h, solution=sol, partition=part,
-                                  tol=1e-12).eta.values
-    minus = directional_derivative(problem, u, h.with_values(-h.values),
-                                   solution=sol, partition=part, tol=1e-12).eta.values
+    _, sol, part = strict_setup
+    h = _h(sol.problem.grid)
+    plus = directional_derivative(sol, part, h).eta.values
+    minus = directional_derivative(sol, part, h.with_values(-h.values)).eta.values
     np.testing.assert_allclose(minus, -plus, atol=1e-9)
 
 
-def test_domain_override_must_stay_inside_inactive_closure(biactive_setup):
-    inst, sol, part = biactive_setup
-    problem, u = inst["problem"], inst["u"]
-    h = _h(problem.grid)
-    # the default gateaux domain is the inactive set
-    default = gateaux_derivative_on_D(problem, u, h, solution=sol, partition=part)
-    explicit = gateaux_derivative_on_D(problem, u, h, D_override=part.inactive,
-                                       solution=sol, partition=part)
-    np.testing.assert_array_equal(default.eta.values, explicit.eta.values)
-    # a domain that includes strictly active nodes is refused
-    bad = part.inactive | part.lower_strict
-    with pytest.raises(InvalidD):
-        gateaux_derivative_on_D(problem, u, h, D_override=bad,
-                                solution=sol, partition=part)
-
-
 def test_sides_coincide_on_strict_instances(strict_setup):
-    inst, sol, part = strict_setup
-    problem, u = inst["problem"], inst["u"]
-    h = _h(problem.grid)
-    lower = generalized_derivative(problem, u, h, side="lower",
-                                   solution=sol, partition=part).eta.values
-    upper = generalized_derivative(problem, u, h, side="upper",
-                                   solution=sol, partition=part).eta.values
+    _, sol, part = strict_setup
+    h = _h(sol.problem.grid)
+    lower = generalized_derivative(sol, part, h, "lower").eta.values
+    upper = generalized_derivative(sol, part, h, "upper").eta.values
     np.testing.assert_allclose(lower, upper, atol=1e-12)
 
 
 def test_sides_differ_on_biactive_instances(biactive_setup):
-    inst, sol, part = biactive_setup
-    problem, u = inst["problem"], inst["u"]
-    h = _h(problem.grid)
-    lower = generalized_derivative(problem, u, h, side="lower",
-                                   solution=sol, partition=part)
-    upper = generalized_derivative(problem, u, h, side="upper",
-                                   solution=sol, partition=part)
+    _, sol, part = biactive_setup
+    h = _h(sol.problem.grid)
+    lower = generalized_derivative(sol, part, h, "lower")
+    upper = generalized_derivative(sol, part, h, "upper")
     gap = np.abs(lower.eta.values - upper.eta.values).max()
     assert gap > 1e-4
     assert lower.side == "lower" and upper.side == "upper"
@@ -166,18 +136,15 @@ def test_one_sided_quotients_match_their_side(biactive_setup):
     problem, u = inst["problem"], inst["u"]
     h = _h(problem.grid)
     t = 1e-4
-    eta_lower = generalized_derivative(problem, u, h, side="lower",
-                                       solution=sol, partition=part).eta.values
+    eta_lower = generalized_derivative(sol, part, h, "lower").eta.values
     # directional derivative along h computed by the cone VI agrees with a
     # small one-sided quotient regardless of side bookkeeping
-    cone = directional_derivative(problem, u, h, solution=sol, partition=part,
-                                  tol=1e-12).eta.values
+    cone = directional_derivative(sol, part, h).eta.values
     y_t = solve_bop(problem, u.with_values(u.values + t * h.values)).y.values
     quotient = (y_t - sol.y.values) / t
     assert np.abs(quotient - cone).max() <= 1e-3 * np.abs(cone).max()
     # and the cone solution lives between the two one-sided reduced objects
-    eta_upper = generalized_derivative(problem, u, h, side="upper",
-                                       solution=sol, partition=part).eta.values
+    eta_upper = generalized_derivative(sol, part, h, "upper").eta.values
     lo = np.minimum(eta_lower, eta_upper) - 1e-9
     hi = np.maximum(eta_lower, eta_upper) + 1e-9
     assert ((cone >= lo) & (cone <= hi)).mean() > 0.99
@@ -205,12 +172,11 @@ def test_reduced_solve_zero_outside_domain(strict_setup, kind, adjoint):
 
 
 def test_mosco_experiment_tail_and_sandwich(biactive_setup):
-    inst, _, _ = biactive_setup
-    problem, u = inst["problem"], inst["u"]
-    h = _h(problem.grid)
-    e = problem.grid.constant(5.0)
+    _, sol, part = biactive_setup
+    h = _h(sol.problem.grid)
+    e = sol.problem.grid.constant(5.0)
     for side in ("lower", "upper"):
-        out = mosco_convergence_experiment(problem, u, h, side=side,
+        out = mosco_convergence_experiment(sol, part, h, side=side,
                                            schedule=(4, 16, 64, 256), e=e)
         assert out["side"] == side
         assert out["errors_nonincreasing_tail"]
@@ -218,15 +184,30 @@ def test_mosco_experiment_tail_and_sandwich(biactive_setup):
         assert all(step["sandwich_ok"] for step in out["steps"])
 
 
+def test_mosco_solves_once_per_schedule_step(biactive_setup, monkeypatch):
+    """The limit point is an input; only the u_n are solved."""
+    _, sol, part = biactive_setup
+    solves = []
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args[1])
+        return solve_bop(*args, **kwargs)
+
+    monkeypatch.setattr(derivatives, "solve_bop", counting_solve)
+    schedule = (4, 16, 64)
+    mosco_convergence_experiment(sol, part, _h(sol.problem.grid), side="upper",
+                                 schedule=schedule, e=sol.problem.grid.constant(5.0))
+    assert len(solves) == len(schedule)
+    assert all((u_n.values > sol.u.values).all() for u_n in solves)
+
+
 def test_mosco_perturbation_must_be_positive(biactive_setup):
-    inst, _, _ = biactive_setup
-    problem, u = inst["problem"], inst["u"]
-    h = _h(problem.grid)
+    _, sol, part = biactive_setup
+    h = _h(sol.problem.grid)
     with pytest.raises(InvalidD):
-        mosco_convergence_experiment(problem, u, h,
-                                     e=problem.grid.constant(0.0))
+        mosco_convergence_experiment(sol, part, h, e=sol.problem.grid.constant(0.0))
     with pytest.raises(InvalidD):
-        mosco_convergence_experiment(problem, u, h, side="sideways")
+        mosco_convergence_experiment(sol, part, h, side="sideways")
 
 
 def test_sandwich_report_structure(biactive_setup):

@@ -90,24 +90,40 @@ def test_solvers_match_enumeration_on_random_1d(method):
         np.testing.assert_allclose(sol.y.values, ref.y.values, atol=1e-8)
 
 
+def _pinch(problem, node, t):
+    """Lower phi at one node to within a log-uniform gap of psi, between
+    1e-7 (t=0) and 1e-2 of the obstacle span (t=1). The floor sits a decade
+    above EPS_ACTIVE: in a band narrower than 2*EPS_ACTIVE, classify_sets
+    counts the node as touching both obstacles."""
+    psi, phi = problem.obstacles.psi, problem.obstacles.phi.copy()
+    top = max(1e-2 * float(phi.max() - psi.min()), 1e-7)
+    phi[node] = psi[node] + 1e-7 * (top / 1e-7) ** t
+    return BopProblem(operator=problem.operator, control=problem.control,
+                      obstacles=ObstaclePair(problem.grid, psi, phi))
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 8),
     operator_kind=st.sampled_from(OPERATOR_KINDS),
     control_kind=st.sampled_from(CONTROL_KINDS),
     active_fraction=st.floats(0.05, 0.45),
+    pinch=st.one_of(st.none(), st.tuples(st.integers(0, 7), st.floats(0.0, 1.0))),
 )
-@settings(max_examples=72, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_pdas_psor_enumeration_agree(seed, n, operator_kind, control_kind,
-                                     active_fraction):
+                                     active_fraction, pinch):
     """Every operator kind times every control kind, at contact fractions
-    from sparse to nearly all nodes: both solvers reproduce the oracle's
-    state and its lower/inactive/upper pattern."""
+    from sparse to nearly all nodes, with and without obstacles that nearly
+    touch at one node: both solvers reproduce the oracle's state and its
+    lower/inactive/upper pattern."""
     problem, u = random_instance(
         unit_grid(n, dim=1), np.random.default_rng(seed),
         operator_kinds=(operator_kind,), control_kinds=(control_kind,),
         active_fraction=active_fraction,
     )
+    if pinch is not None:
+        problem = _pinch(problem, pinch[0] % n, pinch[1])
     ref = solve_by_enumeration(problem, u)
     ref_flags = node_flags(classify_sets(ref))
     for method in ("pdas", "psor"):

@@ -18,6 +18,7 @@ from biobstacle import (
     objective,
     solve_bop,
 )
+from biobstacle import tracking
 from biobstacle.errors import InvalidD, InvalidSpec
 from biobstacle.problems import smooth_field, strict_instance, unit_grid
 
@@ -38,6 +39,15 @@ def _unconstrained_cp(n=10, alpha=1e-3):
     return ControlProblem(bop=problem, y_target=y_target, alpha=alpha), rng
 
 
+def _objective_at(cp, u):
+    return objective(cp, solve_bop(cp.bop, u))
+
+
+def _subgradient_at(cp, u, side="lower"):
+    sol = solve_bop(cp.bop, u)
+    return adjoint_subgradient(cp, sol, classify_sets(sol), side)
+
+
 def test_gradient_matches_dense_formula():
     """For the unconstrained identity-control case,
     g = mass * A^{-T} (mass (y - y_target)) + alpha * mass * u exactly."""
@@ -45,8 +55,9 @@ def test_gradient_matches_dense_formula():
     grid = cp.bop.grid
     u = grid.function(rng.standard_normal(grid.total))
     sol = solve_bop(cp.bop, u)
-    assert classify_sets(sol).counts()["inactive"] == grid.total
-    sub = adjoint_subgradient(cp, u, solution=sol)
+    part = classify_sets(sol)
+    assert part.counts()["inactive"] == grid.total
+    sub = adjoint_subgradient(cp, sol, part)
     A = cp.bop.operator.matrix
     q = spla.spsolve(A.T.tocsc(), grid.mass * (sol.y.values - cp.y_target.values))
     expected = grid.mass * q + cp.alpha * grid.mass * u.values
@@ -57,12 +68,12 @@ def test_gradient_matches_central_differences():
     cp, rng = _unconstrained_cp()
     grid = cp.bop.grid
     u = grid.function(rng.standard_normal(grid.total))
-    sub = adjoint_subgradient(cp, u)
+    sub = _subgradient_at(cp, u)
     t = 1e-5
     for _ in range(4):
         w = rng.standard_normal(grid.total)
-        jp = objective(cp, u.with_values(u.values + t * w))
-        jm = objective(cp, u.with_values(u.values - t * w))
+        jp = _objective_at(cp, u.with_values(u.values + t * w))
+        jm = _objective_at(cp, u.with_values(u.values - t * w))
         cd = (jp - jm) / (2 * t)
         assert float(sub.g.values @ w) == pytest.approx(cd, rel=1e-6, abs=1e-14)
 
@@ -74,7 +85,7 @@ def test_adjoint_identity_is_machine_exact():
     y_target = grid.function(inst["y_star"].values - 0.001)
     cp = ControlProblem(bop=inst["problem"], y_target=y_target, alpha=1e-8)
     u = grid.function(inst["u"].values + smooth_field(grid, rng, amplitude=0.05).values)
-    sub = adjoint_subgradient(cp, u)
+    sub = _subgradient_at(cp, u)
     from biobstacle import control_derivative_matrix
     fprime = control_derivative_matrix(cp.bop.control, u)
     for _ in range(5):
@@ -90,13 +101,13 @@ def test_subgradient_respects_one_sided_domain():
     cp = ControlProblem(bop=inst["problem"],
                         y_target=grid.function(inst["y_star"].values - 0.002),
                         alpha=1e-8)
-    sub = adjoint_subgradient(cp, inst["u"], side="lower")
     sol = solve_bop(cp.bop, inst["u"])
     part = classify_sets(sol)
+    sub = adjoint_subgradient(cp, sol, part, side="lower")
     assert (sub.q.values[part.lower] == 0.0).all()
     assert (sub.q.values[part.upper] == 0.0).all()
     with pytest.raises(InvalidD):
-        adjoint_subgradient(cp, inst["u"], side="diagonal")
+        adjoint_subgradient(cp, sol, part, side="diagonal")
 
 
 def test_descent_strictly_decreases_objective():
@@ -108,7 +119,37 @@ def test_descent_strictly_decreases_objective():
     assert len(values) == 20
     assert trace.termination == "max_steps"
     assert all(b < a for a, b in zip(values, values[1:]))
-    assert objective(cp, trace.u_final) == pytest.approx(values[-1])
+    assert _objective_at(cp, trace.u_final) == pytest.approx(values[-1])
+
+
+def test_descent_solves_once_per_objective_evaluation(monkeypatch):
+    """Every trial control is solved once, and the accepted trial's solution
+    feeds the next subgradient: no second solve of the same control."""
+    inst = strict_instance(unit_grid(12, dim=2))
+    grid = inst["problem"].grid
+    rng = np.random.default_rng(3)
+    cp = ControlProblem(bop=inst["problem"],
+                        y_target=grid.function(inst["y_star"].values - 0.002),
+                        alpha=1e-8)
+    u0 = grid.function(inst["u"].values + smooth_field(grid, rng, amplitude=0.05).values)
+    calls = {"solve_bop": 0, "objective": 0}
+
+    def counting(name):
+        fn = getattr(tracking, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(tracking, name, counting(name))
+    trace = descent_loop(cp, u0, steps=6)
+    accepted = sum(1 for row in trace.rows if row["step"] > 0.0)
+    assert accepted == 6
+    assert calls["objective"] > accepted
+    assert calls["solve_bop"] == calls["objective"]
 
 
 def test_descent_reaches_grad_tol_on_easy_problem():
@@ -130,7 +171,7 @@ def test_objective_value_formula():
     expected = 0.5 * grid.mass * float(
         ((sol.y.values - cp.y_target.values) ** 2).sum()
     ) + 0.25 * grid.mass * float((u.values ** 2).sum())
-    assert objective(cp, u) == pytest.approx(expected, rel=1e-14)
+    assert objective(cp, sol) == pytest.approx(expected, rel=1e-14)
 
 
 def test_negative_tikhonov_weight_rejected():
