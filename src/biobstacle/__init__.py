@@ -21,7 +21,6 @@ from .derivatives import (
     gateaux_derivative_on_D,
     generalized_derivative,
     mosco_convergence_experiment,
-    verify_set_sandwich,
 )
 from .grid import (
     AssembledOperator,
@@ -36,12 +35,13 @@ from .grid import (
 from .multipliers import (
     EPS_ACTIVE,
     EPS_MULT,
-    CriticalCone,
     MultiplierSplit,
     SetPartition,
     classify_sets,
     node_flags,
+    pair_inclusion_violations,
     pairing_identity_gap,
+    reflection_swap_mismatches,
     split_multiplier,
     verify_strict_set_monotonicity,
 )
@@ -86,7 +86,6 @@ from .radial_series import (
     verify_vi_solution_property,
 )
 from .tracking import (
-    ArmijoParams,
     ControlProblem,
     DescentTrace,
     Subgradient,

@@ -1,4 +1,4 @@
-"""Multiplier decomposition, active-set classification, and the critical cone.
+"""Multiplier decomposition and the contact sets of a solved point.
 
 The residual xi = A y - f(u) splits into nonnegative parts
 xi = xi_lower - xi_upper supported on the respective active sets. The split
@@ -18,12 +18,8 @@ from .errors import ComplementarityViolated, NotMonotonePair
 from .grid import GridFunction
 from .obstacle import BopProblem, BopSolution, reflect_problem, solve_bop
 
-EPS_ACTIVE = 1e-8   # |y - obstacle| below this counts as contact
+EPS_ACTIVE = 1e-8   # within this of the nearer obstacle counts as contact
 EPS_MULT = 1e-7     # multiplier mass above this counts as strictly active
-
-# critical-cone node classes
-FREE, NONNEG, NONPOS, ZERO = 0, 1, 2, 3
-_CLASS_NAMES = {FREE: "free", NONNEG: "nonneg", NONPOS: "nonpos", ZERO: "zero"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,6 +37,19 @@ class MultiplierSplit:
             object.__setattr__(self, name, arr)
 
 
+def _contact(solution: BopSolution, eps_active: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) contact masks: a node within eps_active of an obstacle
+    touches it, but only the strictly nearer obstacle, so no node touches
+    both and the rule commutes with reflection even where the obstacles
+    are closer than 2*eps_active."""
+    obstacles = solution.problem.obstacles
+    gap_lower = solution.y.values - obstacles.psi
+    gap_upper = obstacles.phi - solution.y.values
+    lower = (gap_lower <= eps_active) & (gap_lower < gap_upper)
+    upper = (gap_upper <= eps_active) & (gap_upper < gap_lower)
+    return lower, upper
+
+
 def split_multiplier(
     solution: BopSolution,
     eps_active: float = EPS_ACTIVE,
@@ -49,15 +58,15 @@ def split_multiplier(
     """Decompose xi into its obstacle-attached parts.
 
     Refuses (ComplementarityViolated) if the multiplier carries mass at nodes
-    that are clearly away from both obstacles, since the decomposition is
-    meaningless for such data.
+    in contact with neither obstacle, since the decomposition is meaningless
+    for such data.
     """
     y = solution.y.values
     xi = solution.xi.values
     psi = solution.problem.obstacles.psi
     phi = solution.problem.obstacles.phi
-    interior = (y - psi > eps_active) & (phi - y > eps_active)
-    bad = interior & (np.abs(xi) > eps_mult)
+    lower, upper = _contact(solution, eps_active)
+    bad = ~(lower | upper) & (np.abs(xi) > eps_mult)
     if bad.any():
         worst = float(np.abs(xi[bad]).max())
         raise ComplementarityViolated(
@@ -82,47 +91,46 @@ def pairing_identity_gap(
     return max(lower_gap, upper_gap)
 
 
+_MASKS = ("lower", "upper", "lower_strict", "upper_strict")
+
+
 @dataclass(frozen=True, eq=False)
 class SetPartition:
-    """Boolean masks for the seven node sets of a solved instance."""
+    """The contact sets of a solved point: active and strictly active at each
+    obstacle. The weak and inactive sets are read off these four masks."""
 
     lower: np.ndarray
     upper: np.ndarray
     lower_strict: np.ndarray
     upper_strict: np.ndarray
-    lower_weak: np.ndarray
-    upper_weak: np.ndarray
-    inactive: np.ndarray
-    eps_active: float
-    eps_mult: float
 
     def __post_init__(self):
-        masks = {}
-        for name in ("lower", "upper", "lower_strict", "upper_strict",
-                     "lower_weak", "upper_weak", "inactive"):
+        for name in _MASKS:
             m = np.asarray(getattr(self, name), dtype=bool)
             m.setflags(write=False)
             object.__setattr__(self, name, m)
-            masks[name] = m
-        if (masks["lower"] & masks["upper"]).any():
+        if (self.lower & self.upper).any():
             raise ComplementarityViolated("a node is active at both obstacles")
         for side in ("lower", "upper"):
-            if (masks[f"{side}_strict"] & ~masks[side]).any():
+            if (getattr(self, f"{side}_strict") & ~getattr(self, side)).any():
                 raise ComplementarityViolated(f"{side} strict set leaves the active set")
-            if ((masks[f"{side}_weak"] ^ (masks[side] & ~masks[f"{side}_strict"]))).any():
-                raise ComplementarityViolated(f"{side} weak set is not active minus strict")
-        if (masks["inactive"] ^ ~(masks["lower"] | masks["upper"])).any():
-            raise ComplementarityViolated("inactive set is not the complement of contact")
 
     @property
-    def strict(self) -> np.ndarray:
-        return self.lower_strict | self.upper_strict
+    def lower_weak(self) -> np.ndarray:
+        return self.lower & ~self.lower_strict
+
+    @property
+    def upper_weak(self) -> np.ndarray:
+        return self.upper & ~self.upper_strict
+
+    @property
+    def inactive(self) -> np.ndarray:
+        return ~(self.lower | self.upper)
 
     def counts(self) -> dict:
         return {
             name: int(getattr(self, name).sum())
-            for name in ("lower", "upper", "lower_strict", "upper_strict",
-                         "lower_weak", "upper_weak", "inactive")
+            for name in (*_MASKS, "lower_weak", "upper_weak", "inactive")
         }
 
 
@@ -132,24 +140,13 @@ def classify_sets(
     eps_mult: float = EPS_MULT,
 ) -> SetPartition:
     """Active sets by state proximity, strict subsets by multiplier mass."""
-    y = solution.y.values
-    psi = solution.problem.obstacles.psi
-    phi = solution.problem.obstacles.phi
     split = split_multiplier(solution, eps_active=eps_active, eps_mult=eps_mult)
-    lower = y - psi <= eps_active
-    upper = phi - y <= eps_active
-    lower_strict = lower & (split.lower >= eps_mult)
-    upper_strict = upper & (split.upper >= eps_mult)
+    lower, upper = _contact(solution, eps_active)
     return SetPartition(
         lower=lower,
         upper=upper,
-        lower_strict=lower_strict,
-        upper_strict=upper_strict,
-        lower_weak=lower & ~lower_strict,
-        upper_weak=upper & ~upper_strict,
-        inactive=~(lower | upper),
-        eps_active=eps_active,
-        eps_mult=eps_mult,
+        lower_strict=lower & (split.lower >= eps_mult),
+        upper_strict=upper & (split.upper >= eps_mult),
     )
 
 
@@ -161,43 +158,26 @@ def node_flags(partition: SetPartition) -> np.ndarray:
     return flags
 
 
-@dataclass(frozen=True, eq=False)
-class CriticalCone:
-    """Per-node sign constraints for directional derivatives.
+def pair_inclusion_violations(part_hi: SetPartition, part_lo: SetPartition) -> dict:
+    """Violations of the set inclusions between the partitions at two controls
+    u_hi >= u_lo: as the control grows, the lower active and strictly active
+    sets may only shrink and the upper ones may only grow. Returns the number
+    of nodes breaking each inclusion."""
+    return {
+        "lower_active_shrinks": int((part_hi.lower & ~part_lo.lower).sum()),
+        "upper_active_grows": int((part_lo.upper & ~part_hi.upper).sum()),
+        "lower_strict_shrinks": int((part_hi.lower_strict & ~part_lo.lower_strict).sum()),
+        "upper_strict_grows": int((part_lo.upper_strict & ~part_hi.upper_strict).sum()),
+    }
 
-    free on the inactive set, nonneg on the weakly active lower set,
-    nonpos on the weakly active upper set, zero on the strictly active sets.
-    """
 
-    classes: np.ndarray
-
-    def __post_init__(self):
-        cls = np.asarray(self.classes, dtype=np.int8)
-        cls.setflags(write=False)
-        object.__setattr__(self, "classes", cls)
-
-    @classmethod
-    def from_partition(cls, partition: SetPartition) -> "CriticalCone":
-        classes = np.full(partition.lower.size, FREE, dtype=np.int8)
-        classes[partition.lower_weak] = NONNEG
-        classes[partition.upper_weak] = NONPOS
-        classes[partition.strict] = ZERO
-        return cls(classes)
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.where(np.isin(self.classes, (NONNEG, ZERO)), 0.0, -np.inf)
-        hi = np.where(np.isin(self.classes, (NONPOS, ZERO)), 0.0, np.inf)
-        return lo, hi
-
-    def contains(self, z: np.ndarray, tol: float = 0.0) -> bool:
-        lo, hi = self.bounds()
-        return bool((z >= lo - tol).all() and (z <= hi + tol).all())
-
-    def describe(self) -> dict:
-        return {
-            name: int((self.classes == code).sum())
-            for code, name in _CLASS_NAMES.items()
-        }
+def reflection_swap_mismatches(partition: SetPartition, mirrored: SetPartition) -> int:
+    """Nodes where the reflected problem's partition fails to swap the lower
+    and upper sets of the original, summed over the four masks."""
+    return (int((mirrored.lower != partition.upper).sum())
+            + int((mirrored.upper != partition.lower).sum())
+            + int((mirrored.lower_strict != partition.upper_strict).sum())
+            + int((mirrored.upper_strict != partition.lower_strict).sum()))
 
 
 def verify_strict_set_monotonicity(
@@ -218,23 +198,16 @@ def verify_strict_set_monotonicity(
     sol_lo = solve_bop(problem, u_lo)
     part_hi = classify_sets(sol_hi)
     part_lo = classify_sets(sol_lo)
-    report = {
-        "lower_active_shrinks": int((part_hi.lower & ~part_lo.lower).sum()),
-        "upper_active_grows": int((part_lo.upper & ~part_hi.upper).sum()),
-        "lower_strict_shrinks": int((part_hi.lower_strict & ~part_lo.lower_strict).sum()),
-        "upper_strict_grows": int((part_lo.upper_strict & ~part_hi.upper_strict).sum()),
-    }
-    report["ok"] = not any(v for k, v in report.items() if k != "ok")
+    report = pair_inclusion_violations(part_hi, part_lo)
+    report["ok"] = not any(report.values())
     report["reflection_checked"] = False
     if problem.control.kind == "identity":
         mirrored = reflect_problem(problem)
-        swaps = 0
-        for sol, opart in ((sol_hi, part_hi), (sol_lo, part_lo)):
-            mpart = classify_sets(solve_bop(mirrored, sol.u.with_values(-sol.u.values)))
-            swaps += int((mpart.lower != opart.upper).sum())
-            swaps += int((mpart.upper != opart.lower).sum())
-            swaps += int((mpart.lower_strict != opart.upper_strict).sum())
-            swaps += int((mpart.upper_strict != opart.lower_strict).sum())
+        swaps = sum(
+            reflection_swap_mismatches(
+                part, classify_sets(solve_bop(mirrored, sol.u.with_values(-sol.u.values))))
+            for sol, part in ((sol_hi, part_hi), (sol_lo, part_lo))
+        )
         report["reflection_checked"] = True
         report["reflection_swap_mismatches"] = swaps
         report["ok"] = report["ok"] and swaps == 0

@@ -18,11 +18,10 @@ from .grid import GridFunction
 from .obstacle import BopProblem, BopSolution
 
 ENUMERATION_LIMIT = 12  # 3^12 patterns is already ~0.5M
+ENUMERATION_TOL = 1e-9  # largest sign or feasibility violation accepted
 
 
-def solve_by_enumeration(
-    problem: BopProblem, u: GridFunction, tol: float = 1e-9
-) -> BopSolution:
+def solve_by_enumeration(problem: BopProblem, u: GridFunction) -> BopSolution:
     """Reference solution by exhaustive pattern search (n <= ENUMERATION_LIMIT)."""
     n = problem.grid.total
     if n > ENUMERATION_LIMIT:
@@ -58,7 +57,7 @@ def solve_by_enumeration(
             viol = max(viol, float((-xi[low]).max()))
         if up.any():
             viol = max(viol, float(xi[up].max()))
-        if viol <= tol:
+        if viol <= ENUMERATION_TOL:
             return _as_solution(problem, u, y, xi, viol)
         if viol < best_viol:
             best, best_viol = (y, xi), viol

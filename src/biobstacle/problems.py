@@ -30,12 +30,12 @@ def unit_grid(n: int, dim: int = 2) -> Grid:
     return Grid(shape=(n,) * dim)
 
 
-def smooth_field(grid: Grid, rng: np.random.Generator, modes: int = 3,
+def smooth_field(grid: Grid, rng: np.random.Generator,
                  amplitude: float = 1.0) -> GridFunction:
-    """Random combination of low-frequency Dirichlet sine modes."""
+    """Random combination of three low-frequency Dirichlet sine modes."""
     coords = grid.coordinates()
     values = np.zeros(grid.total)
-    for _ in range(modes):
+    for _ in range(3):
         freqs = rng.integers(1, 4, size=grid.dim)
         weight = rng.uniform(-1.0, 1.0)
         term = np.ones(grid.total)
@@ -179,22 +179,14 @@ DEFAULT_WEAK_LOWER_BOX = ((0.60, 0.80), (0.10, 0.30))
 DEFAULT_WEAK_UPPER_BOX = ((0.10, 0.30), (0.60, 0.80))
 
 
-def manufactured_instance(
-    grid: Grid,
-    control_kind: str = "smooth_monotone_superposition",
-    profile: str = "id_plus_arctan",
-    biactive: bool = False,
-    gap: float = 0.05,
-    sigma_scale: float = 5.0,
-    amplitude_scale: float = 0.05,
-    reaction: float = 1.0,
-) -> dict:
+def manufactured_instance(grid: Grid, biactive: bool = False) -> dict:
     """Instance with known solution y*, multiplier xi*, and contact patches.
 
-    Strict contact: xi* = +sigma on the lower patch, -sigma on the upper
-    patch, zero elsewhere; sigma = sigma_scale * mass so the multiplier is
-    O(sigma_scale) in control units. With biactive=True two extra patches
-    touch their obstacle with zero multiplier (weakly active nodes).
+    The operator is -Laplace + 1 and the control map is the id_plus_arctan
+    superposition. Strict contact: xi* = +sigma on the lower patch, -sigma on
+    the upper patch, zero elsewhere; sigma = 5 * mass so the multiplier is
+    O(5) in control units. With biactive=True two extra patches touch their
+    obstacle with zero multiplier (weakly active nodes).
 
     The state amplitude is tied to the node mass so the recovered control is
     O(1), where the superposition profiles are genuinely nonlinear.
@@ -202,11 +194,11 @@ def manufactured_instance(
     if grid.dim != 2:
         raise InvalidSpec("manufactured instances are built on 2D grids")
     operator = assemble(
-        grid, OperatorSpec(kind="laplacian_plus_reaction", reaction=reaction)
+        grid, OperatorSpec(kind="laplacian_plus_reaction", reaction=1.0)
     )
     coords = grid.coordinates()
     x, yy = coords[:, 0], coords[:, 1]
-    y_amp = amplitude_scale * grid.mass
+    y_amp = 0.05 * grid.mass
     y_star = y_amp * (
         np.sin(math.pi * x) * np.sin(math.pi * yy)
         + 0.5 * np.sin(2.0 * math.pi * x) * np.sin(math.pi * yy)
@@ -219,30 +211,23 @@ def manufactured_instance(
     weak_lower &= ~(strict_lower | strict_upper)
     weak_upper &= ~(strict_lower | strict_upper | weak_lower)
 
-    sigma = sigma_scale * grid.mass
+    sigma = 5.0 * grid.mass
     xi_star = np.zeros(grid.total)
     xi_star[strict_lower] = sigma
     xi_star[strict_upper] = -sigma
 
     # The off-patch gap is absolute (state units): large relative to the tiny
     # state so perturbation experiments never create contact off the patches.
+    gap = 0.05
     psi = y_star - gap * (~(strict_lower | weak_lower)).astype(float)
     phi = y_star + gap * (~(strict_upper | weak_upper)).astype(float)
 
     image = operator.matrix @ y_star - xi_star  # required control image, with mass
-    target = image / grid.mass
-    if control_kind == "identity":
-        control = ControlOperator(grid, kind="identity")
-        u_star = target
-    elif control_kind == "smooth_monotone_superposition":
-        control = ControlOperator(grid, kind="smooth_monotone_superposition", profile=profile)
-        u_star = invert_profile(profile, target)
-    else:
-        raise InvalidSpec("manufactured instances support identity or superposition")
-
+    u_star = invert_profile("id_plus_arctan", image / grid.mass)
     problem = BopProblem(
         operator=operator,
-        control=control,
+        control=ControlOperator(grid, kind="smooth_monotone_superposition",
+                                profile="id_plus_arctan"),
         obstacles=ObstaclePair(grid, psi, phi),
     )
     return {
@@ -255,16 +240,15 @@ def manufactured_instance(
         "weak_lower": weak_lower,
         "weak_upper": weak_upper,
         "sigma": sigma,
-        "gap": gap,
     }
 
 
-def strict_instance(grid: Grid, **kwargs) -> dict:
-    return manufactured_instance(grid, biactive=False, **kwargs)
+def strict_instance(grid: Grid) -> dict:
+    return manufactured_instance(grid, biactive=False)
 
 
-def biactive_instance(grid: Grid, **kwargs) -> dict:
-    return manufactured_instance(grid, biactive=True, **kwargs)
+def biactive_instance(grid: Grid) -> dict:
+    return manufactured_instance(grid, biactive=True)
 
 
 def derivative_instance(grid: Grid, amplitude: float = 50.0) -> dict:

@@ -270,13 +270,14 @@ def pair_with_radial(config: RingConfig, profile: RadialProfile, K: int) -> Ring
     )
 
 
-def sum_inverse_gap(config: RingConfig, exact_terms: int = 200_000) -> tuple[float, float]:
+def sum_inverse_gap(config: RingConfig) -> tuple[float, float]:
     """(lower, upper) enclosure of sum_k 1/gap_k over all k.
 
-    First exact_terms summed directly; the remainder is bounded above by the
-    integral of the mean-value upper bound 1/gap(x) <= (beta/pi) *
-    (2x*pi - pi/2)^(1 - 1/beta), which has an elementary antiderivative.
+    The first 200,000 terms are summed directly; the remainder is bounded
+    above by the integral of the mean-value upper bound 1/gap(x) <= (beta/pi)
+    * (2x*pi - pi/2)^(1 - 1/beta), which has an elementary antiderivative.
     """
+    exact_terms = 200_000
     k = np.arange(1, exact_terms + 1, dtype=float)
     partial = float((1.0 / log_radius_gap(k, config.beta)).sum())
     p = config.p
@@ -297,15 +298,16 @@ def h1_pairing_bound(config: RingConfig, profile: RadialProfile) -> float:
     return math.sqrt(TWO_PI) * math.sqrt(config.sum_omega_sq()) * profile.h1_seminorm()
 
 
-def bounded_tail_remainder(config: RingConfig, K: int, sup_w: float = 1.0) -> float:
-    """Upper bound on sum_{k>K} omega_k * 2*pi * sup|w| / sqrt(gap_k).
+def bounded_tail_remainder(config: RingConfig, K: int) -> float:
+    """Upper bound on sum_{k>K} omega_k * 2*pi / sqrt(gap_k), the tail against
+    any w with sup|w| <= 1.
 
     Dominates every later partial-sum movement of a one-sided part against a
     bounded w. Uses 1/sqrt(gap) <= sqrt(beta/pi)*(2k*pi - pi/2)^((1-1/beta)/2)
     inside an integral comparison.
     """
     q = (1.0 - config.p) / 2.0  # decay exponent of 1/sqrt(gap)
-    pref = TWO_PI * sup_w * math.sqrt(config.beta / math.pi)
+    pref = TWO_PI * math.sqrt(config.beta / math.pi)
 
     def integrand(x):
         return x ** (-config.omega_exponent) * (2.0 * x * math.pi - math.pi / 2.0) ** q
@@ -326,9 +328,8 @@ def verify_vi_solution_property(
     K: int = 2_000,
     samples: int = 50,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> dict:
-    """Pairing against z - state for sampled feasible radial z stays >= -tol.
+    """Pairing against z - state for sampled feasible radial z stays >= -1e-10.
 
     z is piecewise linear in t through the ring radii with values drawn
     uniformly between the obstacles at each ring (the state itself and its
@@ -368,7 +369,7 @@ def verify_vi_solution_property(
         "worst_pairing": worst,
         "pairing_at_state": values["state"],
         "pairing_at_clamp": values["clamp"],
-        "ok": bool(worst >= -tol),
+        "ok": bool(worst >= -1e-10),
     }
 
 

@@ -25,6 +25,14 @@ from .grid import GridFunction, mass_norm, require_same_grid
 from .multipliers import SetPartition, classify_sets
 from .obstacle import BopProblem, BopSolution, solve_bop
 
+# Armijo line search: the first trial step is 1/mass (scale-aware); a failed
+# trial shrinks the step, an accepted one grows the next first trial.
+STEP_SHRINK = 0.5
+STEP_GROWTH = 2.0
+ARMIJO_C1 = 1e-4
+MAX_BACKTRACKS = 60
+GRAD_TOL = 0.0      # stop once the subgradient norm is at most this
+
 
 @dataclass(frozen=True, eq=False)
 class ControlProblem:
@@ -44,16 +52,6 @@ class Subgradient:
     q: GridFunction
     D_used: np.ndarray
     side: str
-
-
-@dataclass(frozen=True)
-class ArmijoParams:
-    initial_step: float | None = None   # None: 1/mass, a scale-aware default
-    shrink: float = 0.5
-    growth: float = 2.0
-    c1: float = 1e-4
-    max_backtracks: int = 60
-    grad_tol: float = 0.0
 
 
 def objective(cp: ControlProblem, solution: BopSolution) -> float:
@@ -94,7 +92,6 @@ def descent_loop(
     u0: GridFunction,
     steps: int = 50,
     side: str = "lower",
-    params: ArmijoParams = ArmijoParams(),
 ) -> DescentTrace:
     """Projected-free subgradient descent u <- u - s*g with Armijo backtracking.
 
@@ -103,10 +100,9 @@ def descent_loop(
     control is solved once; the accepted trial's solution gives the next
     subgradient.
     """
-    grid = cp.bop.grid
     solution = solve_bop(cp.bop, u0)
     j = objective(cp, solution)
-    trial = params.initial_step if params.initial_step is not None else 1.0 / grid.mass
+    trial = 1.0 / cp.bop.grid.mass
     rows = []
     failures = 0
     termination = "max_steps"
@@ -115,19 +111,19 @@ def descent_loop(
         g = sub.g.values
         slope = -float(g @ g)       # directional derivative along -g
         grad_norm = float(np.sqrt(-slope))
-        if grad_norm <= params.grad_tol:
+        if grad_norm <= GRAD_TOL:
             termination = "grad_tol"
             break
         s = trial
         accepted = False
-        for _ in range(params.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             u_try = solution.u.with_values(solution.u.values - s * g)
             trial_solution = solve_bop(cp.bop, u_try)
             j_try = objective(cp, trial_solution)
-            if j_try <= j + params.c1 * s * slope:
+            if j_try <= j + ARMIJO_C1 * s * slope:
                 accepted = True
                 break
-            s *= params.shrink
+            s *= STEP_SHRINK
         if not accepted:
             failures += 1
             rows.append({"iter": it, "objective": j, "step": 0.0,
@@ -137,7 +133,7 @@ def descent_loop(
         solution, j = trial_solution, j_try
         rows.append({"iter": it, "objective": j, "step": s,
                      "grad_norm": grad_norm, "side": side})
-        trial = s * params.growth
+        trial = s * STEP_GROWTH
     return DescentTrace(
         rows=rows, u_final=solution.u, termination=termination,
         line_search_failures=failures,

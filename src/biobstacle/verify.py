@@ -24,6 +24,7 @@ from .multipliers import (
     classify_sets,
     node_flags,
     pairing_identity_gap,
+    reflection_swap_mismatches,
     split_multiplier,
     verify_strict_set_monotonicity,
 )
@@ -183,12 +184,8 @@ def criterion_4(seed: int) -> dict:
         mirrored = reflect_problem(problem)
         sol_m = solve_bop(mirrored, u.with_values(-u.values))
         worst = max(worst, float(np.abs(sol_m.y.values + sol.y.values).max()))
-        part = classify_sets(sol)
-        part_m = classify_sets(sol_m)
-        swap_mismatches += int((part_m.lower != part.upper).sum())
-        swap_mismatches += int((part_m.upper != part.lower).sum())
-        swap_mismatches += int((part_m.lower_strict != part.upper_strict).sum())
-        swap_mismatches += int((part_m.upper_strict != part.lower_strict).sum())
+        swap_mismatches += reflection_swap_mismatches(classify_sets(sol),
+                                                      classify_sets(sol_m))
     return {
         "criterion": 4,
         "name": "reflection_symmetry",

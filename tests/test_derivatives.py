@@ -20,8 +20,8 @@ from biobstacle import (
     gateaux_derivative_on_D,
     generalized_derivative,
     mosco_convergence_experiment,
+    pair_inclusion_violations,
     solve_bop,
-    verify_set_sandwich,
 )
 from biobstacle import derivatives
 from biobstacle.derivatives import reduced_linear_solve
@@ -55,7 +55,7 @@ def test_directional_equals_reduced_under_strict_complementarity(strict_setup):
     cone = directional_derivative(sol, part, h)
     reduced = gateaux_derivative_on_D(sol, part, h)
     np.testing.assert_allclose(cone.eta.values, reduced.eta.values, atol=1e-9)
-    assert reduced.diagnostics["dim_D"] == int(part.inactive.sum())
+    assert reduced.D_used.sum() == part.inactive.sum()
 
 
 def test_fd_quotients_converge_to_derivative(strict_setup):
@@ -211,9 +211,19 @@ def test_mosco_perturbation_must_be_positive(biactive_setup):
 
 
 def test_sandwich_report_structure(biactive_setup):
-    _, _, part = biactive_setup
-    same = verify_set_sandwich(part, part, "lower")
-    assert same["ok"]
-    assert set(same) == {"lower_active_contains_limit", "upper_active_within_limit",
-                         "lower_strict_contains_limit", "upper_strict_within_limit",
-                         "ok"}
+    """Each Mosco step checks the pair rule on (limit, u_n) from below and
+    (u_n, limit) from above; the pair in the wrong order breaks it."""
+    _, sol, part = biactive_setup
+    keys = {"lower_active_shrinks", "upper_active_grows",
+            "lower_strict_shrinks", "upper_strict_grows"}
+    same = pair_inclusion_violations(part, part)
+    assert same == dict.fromkeys(keys, 0)
+    e = sol.problem.grid.constant(5.0)
+    for side, sign in (("lower", -1.0), ("upper", 1.0)):
+        step = mosco_convergence_experiment(sol, part, _h(sol.problem.grid),
+                                            side=side, schedule=(2,), e=e)["steps"][0]
+        assert step["sandwich_ok"] and step["sandwich"] == same
+        sol_n = solve_bop(sol.problem, sol.u.with_values(sol.u.values + sign * e.values / 2))
+        part_n = classify_sets(sol_n)
+        wrong = (part_n, part) if side == "lower" else (part, part_n)
+        assert sum(pair_inclusion_violations(*wrong).values()) > 0

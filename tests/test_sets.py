@@ -6,16 +6,17 @@ import pytest
 from biobstacle import (
     EPS_ACTIVE,
     EPS_MULT,
-    CriticalCone,
     classify_sets,
+    directional_derivative,
     node_flags,
     pairing_identity_gap,
     solve_bop,
+    solve_vi_bounds,
     split_multiplier,
     verify_strict_set_monotonicity,
 )
-from biobstacle.errors import ComplementarityViolated, NotMonotonePair
-from biobstacle.multipliers import FREE, NONNEG, NONPOS, ZERO
+from biobstacle import derivatives
+from biobstacle.errors import ComplementarityViolated, InvalidD, NotMonotonePair
 from biobstacle.obstacle import BopSolution
 from biobstacle.problems import (
     biactive_instance,
@@ -97,7 +98,6 @@ def test_partition_is_a_partition(solved_biactive):
     assert counts["lower"] == counts["lower_strict"] + counts["lower_weak"]
     assert counts["upper"] == counts["upper_strict"] + counts["upper_weak"]
     assert not (part.lower & part.upper).any()
-    assert (part.strict == (part.lower_strict | part.upper_strict)).all()
 
 
 def test_unconstrained_solution_is_all_inactive():
@@ -137,33 +137,56 @@ def test_classification_is_threshold_stable(solved_biactive):
         assert part.counts() == base
 
 
-def test_critical_cone_classes(solved_biactive):
-    inst, sol = solved_biactive
-    part = classify_sets(sol)
-    cone = CriticalCone.from_partition(part)
-    assert (cone.classes[part.inactive] == FREE).all()
-    assert (cone.classes[part.lower_weak] == NONNEG).all()
-    assert (cone.classes[part.upper_weak] == NONPOS).all()
-    assert (cone.classes[part.strict] == ZERO).all()
-    described = cone.describe()
-    assert described["zero"] == int(part.strict.sum())
-    assert sum(described.values()) == sol.y.values.size
+def _cone_bounds(sol, part, monkeypatch):
+    """The per-node bounds (lo, hi) that directional_derivative hands to the
+    cone VI."""
+    seen = []
+
+    def capture(operator, rhs, lo, hi, **kwargs):
+        seen.append((lo, hi))
+        return solve_vi_bounds(operator, rhs, lo, hi, **kwargs)
+
+    monkeypatch.setattr(derivatives, "solve_vi_bounds", capture)
+    directional_derivative(sol, part, sol.problem.grid.constant(1.0))
+    return seen[0]
 
 
-def test_critical_cone_projection_and_membership(solved_biactive):
+def test_critical_cone_classes(solved_biactive, monkeypatch):
+    """Free on the inactive set, [0, inf) on weak lower contact, (-inf, 0] on
+    weak upper contact, {0} on strict contact."""
     _, sol = solved_biactive
-    cone = CriticalCone.from_partition(classify_sets(sol))
+    part = classify_sets(sol)
+    lo, hi = _cone_bounds(sol, part, monkeypatch)
+    strict = part.lower_strict | part.upper_strict
+    for mask, bounds in ((part.inactive, (-np.inf, np.inf)),
+                         (part.lower_weak, (0.0, np.inf)),
+                         (part.upper_weak, (-np.inf, 0.0)),
+                         (strict, (0.0, 0.0))):
+        assert mask.any()  # the biactive design has every class of node
+        assert (lo[mask] == bounds[0]).all() and (hi[mask] == bounds[1]).all()
+
+
+def test_critical_cone_projection_and_membership(solved_biactive, monkeypatch):
+    """The cone VI result must lie in the cone: a projection onto the bounds
+    is admitted, a point 1e-9 off a zero constraint is rejected, and one
+    within 1e-12 of it is admitted."""
+    _, sol = solved_biactive
+    part = classify_sets(sol)
+    lo, hi = _cone_bounds(sol, part, monkeypatch)
     rng = np.random.default_rng(1)
-    z = rng.standard_normal(sol.y.values.size)
-    lo, hi = cone.bounds()
-    p = np.clip(z, lo, hi)
-    assert cone.contains(p)
-    assert not cone.contains(z) or (z == p).all()
-    # a point just outside a sign constraint is rejected, and tol admits it
-    outside = p.copy()
-    outside[cone.classes == ZERO] = 1e-9
-    assert not cone.contains(outside)
-    assert cone.contains(outside, tol=1e-9)
+    projected = np.clip(rng.standard_normal(sol.y.values.size), lo, hi)
+    strict = part.lower_strict | part.upper_strict
+    h = sol.problem.grid.constant(1.0)
+    for offset, admitted in ((0.0, True), (1e-13, True), (1e-9, False)):
+        eta = projected.copy()
+        eta[strict] = offset
+        monkeypatch.setattr(derivatives, "solve_vi_bounds",
+                            lambda *args, eta=eta, **kwargs: (eta, 0, 0.0))
+        if admitted:
+            assert (directional_derivative(sol, part, h).eta.values == eta).all()
+        else:
+            with pytest.raises(InvalidD):
+                directional_derivative(sol, part, h)
 
 
 def test_strict_set_monotonicity_on_random_pairs():

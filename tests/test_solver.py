@@ -92,12 +92,13 @@ def test_solvers_match_enumeration_on_random_1d(method):
 
 def _pinch(problem, node, t):
     """Lower phi at one node to within a log-uniform gap of psi, between
-    1e-7 (t=0) and 1e-2 of the obstacle span (t=1). The floor sits a decade
-    above EPS_ACTIVE: in a band narrower than 2*EPS_ACTIVE, classify_sets
-    counts the node as touching both obstacles."""
+    1e-9 (t=0) and 1e-2 of the obstacle span (t=1). The floor sits a decade
+    below EPS_ACTIVE: in a band narrower than 2*EPS_ACTIVE the state is
+    within EPS_ACTIVE of both obstacles, and classify_sets must still put
+    the node in contact with the nearer one only."""
     psi, phi = problem.obstacles.psi, problem.obstacles.phi.copy()
-    top = max(1e-2 * float(phi.max() - psi.min()), 1e-7)
-    phi[node] = psi[node] + 1e-7 * (top / 1e-7) ** t
+    top = max(1e-2 * float(phi.max() - psi.min()), 1e-9)
+    phi[node] = psi[node] + 1e-9 * (top / 1e-9) ** t
     return BopProblem(operator=problem.operator, control=problem.control,
                       obstacles=ObstaclePair(problem.grid, psi, phi))
 

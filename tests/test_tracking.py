@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from biobstacle import (
-    ArmijoParams,
     BopProblem,
     ControlOperator,
     ControlProblem,
@@ -152,12 +151,12 @@ def test_descent_solves_once_per_objective_evaluation(monkeypatch):
     assert calls["solve_bop"] == calls["objective"]
 
 
-def test_descent_reaches_grad_tol_on_easy_problem():
+def test_descent_reaches_grad_tol_on_easy_problem(monkeypatch):
     cp, rng = _unconstrained_cp(alpha=1.0)
     grid = cp.bop.grid
     u0 = grid.function(0.01 * rng.standard_normal(grid.total))
-    params = ArmijoParams(grad_tol=1e-12)
-    trace = descent_loop(cp, u0, steps=2000, params=params)
+    monkeypatch.setattr(tracking, "GRAD_TOL", 1e-12)
+    trace = descent_loop(cp, u0, steps=2000)
     assert trace.termination == "grad_tol"
     final_grad = trace.rows[-1]["grad_norm"] if trace.rows else 0.0
     assert final_grad <= 1e-10 or trace.rows == []
