@@ -259,6 +259,42 @@ def coercivity_constant(op: AssembledOperator) -> float:
     return float(np.linalg.eigvalsh(sym)[0])
 
 
+def _axis_interpolation(src_n: int, dst_n: int, extent: tuple[float, float]) -> sp.csr_matrix:
+    """Linear interpolation from src_n interior nodes to dst_n interior nodes
+    of one axis, with the Dirichlet ends held at zero."""
+    a, b = extent
+    h = (b - a) / (src_n + 1)
+    dst = a + np.arange(1, dst_n + 1) * (b - a) / (dst_n + 1)
+    # t is the position in src spacings; src node i sits at t = i + 1, the
+    # boundary at t = 0 and t = src_n + 1
+    t = (dst - a) / h
+    left = np.clip(np.floor(t).astype(int), 0, src_n)
+    frac = t - left
+    rows = np.concatenate([np.arange(dst_n)] * 2)
+    cols = np.concatenate([left - 1, left])
+    vals = np.concatenate([1.0 - frac, frac])
+    keep = (cols >= 0) & (cols < src_n) & (vals != 0.0)
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(dst_n, src_n))
+
+
+def interpolation(src: Grid, dst: Grid) -> sp.csr_matrix:
+    """Linear (1D) or bilinear (2D) interpolation by node coordinates from
+    src to dst, zero on the Dirichlet boundary: (dst.total, src.total).
+
+    Serves both directions between a grid and a coarser one on the same
+    extent. Restricting to the coarser grid never reaches the boundary, so
+    each row is a convex combination; prolonging uses the zero boundary
+    values in the outer ring.
+    """
+    if src.dim != dst.dim or src.extent != dst.extent:
+        raise GridMismatch(f"cannot interpolate between {src} and {dst}")
+    axes = [_axis_interpolation(m, n, ext)
+            for m, n, ext in zip(src.shape, dst.shape, src.extent)]
+    if src.dim == 1:
+        return axes[0]
+    return sp.kron(axes[1], axes[0], format="csr")
+
+
 def natural_scale(grid: Grid) -> float:
     """Scale h_min^2 turning a load-vector residual into state units."""
     return min(grid.spacing) ** 2

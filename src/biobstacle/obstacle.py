@@ -13,6 +13,7 @@ primal-dual active set method (pdas).
 from __future__ import annotations
 
 from dataclasses import dataclass
+import logging
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,14 +23,30 @@ from .controls import ControlOperator, apply_control
 from .errors import (
     GridMismatch,
     InfeasibleObstacles,
+    InvalidSpec,
     NoConvergence,
     UnsupportedControlKind,
 )
-from .grid import AssembledOperator, Grid, GridFunction, natural_scale, require_same_grid
+from .grid import (
+    AssembledOperator,
+    Grid,
+    GridFunction,
+    assemble,
+    interpolation,
+    natural_scale,
+    require_same_grid,
+)
+
+# one DEBUG record per PDAS level; no handler is attached, so it is silent
+# unless the application configures logging
+log = logging.getLogger("biobstacle.obstacle")
 
 PSOR_RELAXATION = 1.5
 # method -> (tolerance on the natural residual, iteration cap)
 SOLVER_DEFAULTS = {"psor": (1e-8, 200_000), "pdas": (1e-10, 200)}
+# PDAS seeds from the half-size grid once that grid has this many nodes per
+# axis; on smaller grids the coarse solve costs about what it saves
+COARSE_MIN = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +116,12 @@ def natural_residual(
     scale: float,
 ) -> float:
     """max |x - median(lo, x - scale*(Ax-b), hi)|; zero iff x solves the VI."""
-    xi = matrix @ x - b
+    return _residual(matrix @ x - b, x, lo, hi, scale)
+
+
+def _residual(xi: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+              scale: float) -> float:
+    """The natural residual from the multiplier xi = Ax - b already in hand."""
     proj = np.clip(x - scale * xi, lo, hi)
     return float(np.abs(x - proj).max())
 
@@ -150,6 +172,17 @@ def _reduced_solve(
     return x
 
 
+def _active_sets(xi: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 c: float) -> tuple[np.ndarray, np.ndarray]:
+    """PDAS's set rule: lower-active iff xi + c*(lo - x) > 0, upper-active iff
+    -xi + c*(x - hi) > 0, and lower wins a tie."""
+    with np.errstate(invalid="ignore"):
+        act_lo = xi + c * (lo - x) > 0
+        act_up = -xi + c * (x - hi) > 0
+    act_up[act_lo] = False
+    return act_lo, act_up
+
+
 def _pdas_bounds(
     matrix: sp.csr_matrix,
     b: np.ndarray,
@@ -159,23 +192,30 @@ def _pdas_bounds(
     max_iter: int,
     scale: float,
     colors,
-) -> tuple[np.ndarray, int, float]:
+    start: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray | None, int, float, int]:
     """Primal-dual active set iteration; returns at a fixed point or small residual.
 
-    Active-set updates, with c = 1/scale: lower-active iff xi + c*(lo - x) > 0,
-    upper-active iff -xi + c*(x - hi) > 0. Counts set updates, so an instance
-    whose first classification is already a fixed point reports 0 iterations.
+    Starts from the (lower, upper) active sets in start, or from empty sets.
+    Set updates follow _active_sets with c = 1/scale. Counts set updates, so
+    an instance whose first classification is already a fixed point reports
+    0 iterations. Returns (x, set iterations, residual, PSOR sweeps).
 
     The set iteration can cycle when the obstacles nearly touch and nodes
-    flip between the two bounds. A repeated set signature is detected and the
-    iterate is handed to projected Gauss-Seidel, which converges monotonically
-    for M-matrices, with a tightened tolerance so the downstream multiplier
-    classification sees the same noise floor as an exact reduced solve.
+    flip between the two bounds. A repeated set signature is detected. From
+    a start, the iteration gives up and returns x = None, so that the caller
+    restarts cold. From empty sets the iterate is handed to projected
+    Gauss-Seidel, which converges monotonically for M-matrices, with a
+    tightened tolerance so the downstream multiplier classification sees the
+    same noise floor as an exact reduced solve.
     """
     n = b.size
     c = 1.0 / scale
-    act_lo = np.zeros(n, dtype=bool)
-    act_up = np.zeros(n, dtype=bool)
+    if start is None:
+        act_lo = np.zeros(n, dtype=bool)
+        act_up = np.zeros(n, dtype=bool)
+    else:
+        act_lo, act_up = start
     seen = set()
     err = np.inf
     for it in range(max_iter + 1):
@@ -184,26 +224,84 @@ def _pdas_bounds(
         x[act_up] = hi[act_up]
         _reduced_solve(matrix, b, ~(act_lo | act_up), x)
         xi = matrix @ x - b
-        with np.errstate(invalid="ignore"):
-            new_lo = xi + c * (lo - x) > 0
-            new_up = -xi + c * (x - hi) > 0
-        both = new_lo & new_up
-        new_up[both] = False
-        err = natural_residual(matrix, b, lo, hi, x, scale)
-        if (new_lo == act_lo).all() and (new_up == act_up).all():
-            return x, it, err
-        if err <= tol:
-            return x, it, err
+        new_lo, new_up = _active_sets(xi, x, lo, hi, c)
+        err = _residual(xi, x, lo, hi, scale)
+        if err <= tol or ((new_lo == act_lo).all() and (new_up == act_up).all()):
+            return x, it, err, 0
         signature = (new_lo.tobytes(), new_up.tobytes())
         if signature in seen:
-            x, extra, err = _psor_bounds(
+            if start is not None:
+                return None, it, err, 0
+            x, sweeps, err = _psor_bounds(
                 matrix, b, lo, hi, colors, x,
                 1.0, 0.01 * tol, SOLVER_DEFAULTS["psor"][1], scale,
             )
-            return x, it + extra, err
+            return x, it, err, sweeps
         seen.add(signature)
         act_lo, act_up = new_lo, new_up
     raise NoConvergence("pdas", max_iter, err)
+
+
+def _coarse_sets(
+    operator: AssembledOperator,
+    b: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """PDAS start sets from the solution on the half-size grid, or None.
+
+    The coarse problem restricts the load and the bounds, not the control,
+    so it serves every control kind; b carries the fine mass weight, so the
+    coarse state comes out in fine-state units. Restriction is a convex
+    combination, so the coarse bounds stay apart. There is no seed when the
+    coarse grid would have fewer than COARSE_MIN nodes on an axis, when a
+    bound is infinite (the cone VI), or when the coarse operator is not an
+    M-matrix (convection past the mesh-Peclet bound).
+    """
+    grid = operator.grid
+    shape = tuple(n // 2 for n in grid.shape)
+    if min(shape) < COARSE_MIN or not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        return None
+    coarse = Grid(shape, grid.extent)
+    try:
+        coarse_operator = assemble(coarse, operator.spec)
+    except InvalidSpec:
+        return None
+    restrict = interpolation(grid, coarse)
+    x_coarse, _, _ = _pdas_solve(coarse_operator, restrict @ b, restrict @ lo,
+                                 restrict @ hi, tol, max_iter)
+    x = interpolation(coarse, grid) @ x_coarse
+    return _active_sets(operator.matrix @ x - b, x, lo, hi, 1.0 / natural_scale(grid))
+
+
+def _pdas_solve(
+    operator: AssembledOperator,
+    b: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, int, float]:
+    """PDAS on the operator's grid, seeded by _coarse_sets where it gives a
+    start. A seeded iteration that cycles restarts cold on the same grid.
+    Returns (x, set iterations plus PSOR sweeps, residual)."""
+    grid = operator.grid
+    args = (operator.matrix, b, lo, hi, tol, max_iter,
+            natural_scale(grid), grid.checkerboard())
+    start = _coarse_sets(operator, b, lo, hi, tol, max_iter)
+    x, iterations = None, 0
+    if start is not None:
+        x, iterations, err, sweeps = _pdas_bounds(*args, start=start)
+    restarted = start is not None and x is None
+    if x is None:
+        x, cold, err, sweeps = _pdas_bounds(*args)
+        iterations += cold
+    log.debug("pdas grid=%s seed=%s set_iterations=%d cold_restart=%s psor_sweeps=%d",
+              "x".join(map(str, grid.shape)), "cold" if start is None else "coarse",
+              iterations, restarted, sweeps)
+    return x, iterations + sweeps, err
 
 
 def _solver_options(method: str, tol: float | None,
@@ -228,19 +326,20 @@ def solve_vi_bounds(
     """Solve the box-constrained VI for general (possibly infinite) bounds.
 
     Shared backend for obstacle problems and for critical-cone problems,
-    whose bounds mix 0 and +-inf. PSOR starts from the projection of 0.
+    whose bounds mix 0 and +-inf. PSOR starts from the projection of 0;
+    PDAS starts from the half-size grid's solution once that grid has
+    COARSE_MIN nodes per axis and the bounds are finite, else from empty
+    active sets.
     """
     tol, max_iter = _solver_options(method, tol, max_iter)
-    grid = operator.grid
-    scale = natural_scale(grid)
-    colors = grid.checkerboard()
     if method == "pdas":
-        return _pdas_bounds(operator.matrix, b, lo, hi, tol, max_iter, scale, colors)
+        return _pdas_solve(operator, b, lo, hi, tol, max_iter)
+    grid = operator.grid
     start = np.clip(np.zeros(grid.total), lo, hi)
     if not np.isfinite(start).all():
         raise InfeasibleObstacles("no finite starting point inside the bounds")
-    return _psor_bounds(operator.matrix, b, lo, hi, colors, start,
-                        PSOR_RELAXATION, tol, max_iter, scale)
+    return _psor_bounds(operator.matrix, b, lo, hi, grid.checkerboard(), start,
+                        PSOR_RELAXATION, tol, max_iter, natural_scale(grid))
 
 
 def solve_bop(
@@ -254,7 +353,8 @@ def solve_bop(
 
     method="psor": projected SOR, relaxation 1.5, default tolerance 1e-8.
     method="pdas": primal-dual active set with exact reduced solves,
-    default tolerance 1e-10. Tolerances are on the natural residual
+    default tolerance 1e-10, seeded from the half-size grid on large grids
+    (see solve_vi_bounds). Tolerances are on the natural residual
     max|y - median(psi, y - h_min^2 * xi, phi)|.
     """
     if u.grid != problem.grid:

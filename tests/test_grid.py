@@ -22,6 +22,8 @@ from biobstacle import (
     natural_scale,
 )
 from biobstacle.errors import GridMismatch, InvalidSpec
+from biobstacle.grid import interpolation
+from biobstacle.problems import random_instance, unit_grid
 
 
 def test_laplacian_1d_frozen_row():
@@ -167,3 +169,53 @@ def test_mass_norm_constant_function():
     assert mass_norm(grid.constant(1.0)) == pytest.approx(
         math.sqrt(grid.mass * grid.total)
     )
+
+
+@given(nx=st.integers(2, 40), ny=st.integers(2, 40), width=st.floats(0.5, 3.0))
+@settings(max_examples=40, deadline=None)
+def test_restriction_is_exact_for_bilinear_functions(nx, ny, width):
+    """Fine-to-half-size interpolation: every coarse node lies strictly
+    inside the fine nodes' hull, so each row is a convex combination and
+    x*y (bilinear) is reproduced at the coarse nodes."""
+    extent = ((0.0, width), (-1.0, 1.0))
+    fine = Grid((nx, ny), extent)
+    coarse = Grid((nx // 2 or 1, ny // 2 or 1), extent)
+    restrict = interpolation(fine, coarse)
+    assert restrict.shape == (coarse.total, fine.total)
+    assert restrict.data.min() > 0.0
+    np.testing.assert_allclose(np.asarray(restrict.sum(axis=1)).ravel(), 1.0, atol=1e-14)
+    xy = fine.coordinates().prod(axis=1)
+    np.testing.assert_allclose(restrict @ xy, coarse.coordinates().prod(axis=1),
+                               atol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(9,), (40,), (9, 7), (64, 64)])
+def test_prolongation_of_one_is_one_off_the_outer_ring(shape):
+    """Coarse-to-fine interpolation of the constant 1 is 1 between the
+    outermost coarse nodes and falls toward the zero boundary outside them."""
+    fine = Grid(shape)
+    coarse = Grid(tuple(n // 2 for n in shape))
+    values = interpolation(coarse, fine) @ np.ones(coarse.total)
+    h = np.array(coarse.spacing)
+    coords = fine.coordinates()
+    inside = ((coords >= h - 1e-12) & (coords <= 1.0 - h + 1e-12)).all(axis=1)
+    assert inside.any() and not inside.all()
+    np.testing.assert_allclose(values[inside], 1.0, atol=1e-14)
+    assert (values[~inside] < 1.0).all() and (values[~inside] > 0.0).all()
+
+
+def test_restricted_obstacles_stay_apart():
+    grid = unit_grid(20, dim=2)
+    coarse = Grid((10, 10))
+    restrict = interpolation(grid, coarse)
+    for seed in range(5):
+        problem, _ = random_instance(grid, np.random.default_rng(seed))
+        psi, phi = problem.obstacles.psi, problem.obstacles.phi
+        assert (restrict @ psi < restrict @ phi).all()
+
+
+def test_interpolation_refuses_mismatched_grids():
+    with pytest.raises(GridMismatch):
+        interpolation(Grid((8, 8)), Grid((4,)))
+    with pytest.raises(GridMismatch):
+        interpolation(Grid((8,)), Grid((4,), extent=((0.0, 2.0),)))

@@ -5,6 +5,8 @@ problems and is the ground truth here; PSOR and PDAS must reproduce it.
 The larger 2D checks then play the two solvers against each other.
 """
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from biobstacle import (
     solve_by_enumeration,
     solve_vi_bounds,
 )
+from biobstacle import obstacle
 from biobstacle.errors import (
     InfeasibleObstacles,
     InvalidSpec,
@@ -32,7 +35,7 @@ from biobstacle.errors import (
 )
 from biobstacle.grid import OPERATOR_KINDS, natural_scale
 from biobstacle.multipliers import classify_sets, node_flags
-from biobstacle.obstacle import natural_residual
+from biobstacle.obstacle import COARSE_MIN, _pdas_bounds, natural_residual
 from biobstacle.problems import (
     monotone_control_pair,
     random_instance,
@@ -174,17 +177,112 @@ def test_psor_pdas_agree_on_2d_instances():
         np.testing.assert_allclose(a.y.values, b.y.values, atol=1e-8)
 
 
-def test_pdas_survives_set_cycling():
-    """Tight obstacle band plus convection makes the plain active-set
-    iteration oscillate between patterns; the solver must detect the cycle
-    and still deliver a converged solution (regression for the fallback)."""
+def _pdas_levels(caplog) -> list[dict]:
+    """The per-level PDAS records logged so far, as key -> value strings."""
+    return [dict(field.split("=") for field in r.getMessage().split()[1:])
+            for r in caplog.records if r.name == "biobstacle.obstacle"]
+
+
+def _cycling_instance():
+    """Tight obstacle band plus convection: the plain active-set iteration
+    oscillates between patterns."""
     rng = np.random.default_rng([7, 3])
     problem, u = random_instance(unit_grid(16, dim=2), rng)
     assert problem.obstacles.separation < 1e-4  # the degenerate geometry
-    sol = solve_bop(problem, u, method="pdas")
+    return problem, u
+
+
+def test_pdas_survives_set_cycling(caplog):
+    """The solver must detect the cycle, hand over to projected Gauss-Seidel
+    and still deliver a converged solution (regression for the fallback)."""
+    problem, u = _cycling_instance()
+    with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
+        sol = solve_bop(problem, u, method="pdas")
+    [level] = _pdas_levels(caplog)
+    assert level["seed"] == "cold" and level["cold_restart"] == "False"
+    assert int(level["psor_sweeps"]) > 0
     assert solution_residual(sol) <= 1e-10
     ref = solve_bop(problem, u, method="psor", tol=1e-11)
     np.testing.assert_allclose(sol.y.values, ref.y.values, atol=1e-8)
+
+
+def test_seeded_cycle_restarts_cold(caplog, monkeypatch):
+    """A seed whose set iteration repeats a signature is dropped: the level
+    restarts cold on the exact path, which owns the PSOR fallback. Empty
+    start sets replay the cold iteration, so the seeded run cycles."""
+    problem, u = _cycling_instance()
+    n = problem.grid.total
+    monkeypatch.setattr(obstacle, "_coarse_sets",
+                        lambda *args: (np.zeros(n, bool), np.zeros(n, bool)))
+    with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
+        sol = solve_bop(problem, u, method="pdas")
+    [level] = _pdas_levels(caplog)
+    assert level["seed"] == "coarse" and level["cold_restart"] == "True"
+    assert int(level["psor_sweeps"]) > 0
+    assert solution_residual(sol) <= 1e-10
+    ref = solve_bop(problem, u, method="psor", tol=1e-11)
+    np.testing.assert_allclose(sol.y.values, ref.y.values, atol=1e-8)
+
+
+@pytest.mark.parametrize("operator_kind, control_kind", [
+    ("laplacian", "identity"),
+    ("laplacian_plus_reaction", "smooth_monotone_superposition"),
+    ("laplacian_plus_convection", "identity"),
+    ("laplacian", "affine_monotone"),
+])
+def test_seeded_pdas_matches_cold_at_128(caplog, operator_kind, control_kind):
+    """At 128^2 PDAS starts from the 64^2 solution (itself seeded from 32^2):
+    same state as the cold iteration, in fewer fine-level set updates."""
+    grid = unit_grid(128, dim=2)
+    problem, u = random_instance(grid, np.random.default_rng([128, len(control_kind)]),
+                                 operator_kinds=(operator_kind,),
+                                 control_kinds=(control_kind,))
+    with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
+        sol = solve_bop(problem, u, method="pdas")
+    levels = _pdas_levels(caplog)
+    assert levels[-1]["grid"] == "128x128" and levels[-1]["seed"] == "coarse"
+    assert levels[-1]["cold_restart"] == "False"
+    psi, phi = problem.obstacles.psi, problem.obstacles.phi
+    cold, cold_iterations, _, sweeps = _pdas_bounds(
+        problem.operator.matrix, problem.load(u), psi, phi, 1e-10, 200,
+        natural_scale(grid), grid.checkerboard())
+    assert sweeps == 0
+    assert np.abs(sol.y.values - cold).max() <= 1e-8
+    assert solution_residual(sol) <= 1e-10
+    assert sol.iterations < cold_iterations
+
+
+def test_convection_past_the_peclet_bound_stops_coarsening(caplog):
+    """The 64^2 grid takes this velocity, the 32^2 grid would lose the
+    M-matrix property: the level solves cold instead of raising."""
+    grid = unit_grid(2 * COARSE_MIN, dim=2)
+    velocity = (0.8 * 2.0 / grid.spacing[0], 0.0)
+    coarse = unit_grid(COARSE_MIN, dim=2)
+    with pytest.raises(InvalidSpec):
+        assemble(coarse, OperatorSpec("laplacian_plus_convection", convection=velocity))
+    operator = assemble(grid, OperatorSpec("laplacian_plus_convection", convection=velocity))
+    base, u = random_instance(grid, np.random.default_rng(5),
+                              operator_kinds=("laplacian",))
+    problem = BopProblem(operator=operator, control=base.control,
+                         obstacles=base.obstacles)
+    with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
+        sol = solve_bop(problem, u, method="pdas")
+    [level] = _pdas_levels(caplog)
+    assert level["grid"] == "64x64" and level["seed"] == "cold"
+    assert solution_residual(sol) <= 1e-10
+
+
+def test_no_seed_below_coarse_min_or_for_infinite_bounds(caplog):
+    """Below 2*COARSE_MIN nodes per axis, and for cone-type bounds, PDAS
+    starts from empty sets."""
+    problem, u = random_instance(unit_grid(2 * COARSE_MIN - 1, dim=2),
+                                 np.random.default_rng(9))
+    operator = assemble(unit_grid(2 * COARSE_MIN, dim=2), OperatorSpec("laplacian"))
+    n = operator.grid.total
+    with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
+        solve_bop(problem, u, method="pdas")
+        solve_vi_bounds(operator, np.ones(n), np.zeros(n), np.full(n, np.inf))
+    assert [level["seed"] for level in _pdas_levels(caplog)] == ["cold", "cold"]
 
 
 def test_solution_lipschitz_in_the_load():
