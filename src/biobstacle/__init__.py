@@ -28,7 +28,6 @@ from .grid import (
     GridFunction,
     OperatorSpec,
     assemble,
-    coercivity_constant,
     mass_norm,
     natural_scale,
 )
@@ -78,7 +77,6 @@ from .radial_series import (
     measure_mass_bound,
     pair_with_radial,
     profile_log_power,
-    profile_piecewise_linear,
     profile_ramp,
     profile_state,
     ring_log_radii,

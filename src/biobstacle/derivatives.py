@@ -44,8 +44,10 @@ class DerivativeResult:
 def reduced_linear_solve(operator, rhs: np.ndarray, mask: np.ndarray,
                          adjoint: bool = False) -> np.ndarray:
     """Solve A[mask,mask] x = rhs[mask] (A^T with adjoint=True), zero elsewhere."""
-    matrix = operator.adjoint_matrix if adjoint else operator.matrix
-    return _reduced_solve(matrix, rhs, mask, np.zeros_like(rhs))
+    matrix, transpose = operator.matrix, operator.adjoint_matrix
+    if adjoint:
+        matrix, transpose = transpose, matrix
+    return _reduced_solve(matrix, transpose, rhs, mask, np.zeros_like(rhs))
 
 
 def _derivative_load(solution: BopSolution, h: GridFunction) -> np.ndarray:

@@ -12,6 +12,7 @@ prod(h) on the functional side (see controls.py).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -179,6 +180,23 @@ class AssembledOperator:
         require_same_grid(self, y)
         return y.with_values(self.matrix @ y.values)
 
+    @cached_property
+    def coarse_level(self) -> tuple["AssembledOperator", sp.csr_matrix, sp.csr_matrix] | None:
+        """(operator, restriction, prolongation) on the half-size grid of the
+        same extent, or None where that grid or its operator is refused
+        (a convection operator past the mesh-Peclet bound).
+
+        Built on first use and kept for the operator's lifetime, so solves
+        sharing an operator share its coarse level, and each coarse operator
+        caches its own.
+        """
+        try:
+            coarse = Grid(tuple(n // 2 for n in self.grid.shape), self.grid.extent)
+            operator = assemble(coarse, self.spec)
+        except InvalidSpec:
+            return None
+        return operator, interpolation(self.grid, coarse), interpolation(coarse, self.grid)
+
 
 def _axis_stencil(n: int, h: float, velocity: float) -> sp.csr_matrix:
     """1D part: (1/h^2)*tridiag(-1,2,-1) + (velocity/2h)*tridiag(-1,0,1)."""
@@ -243,15 +261,14 @@ def _check_m_matrix(matrix: sp.spmatrix) -> None:
 
 def _check_two_coloring(matrix: sp.spmatrix, grid: Grid) -> None:
     # projected SOR sweeps a color at a time; same-color nodes must not couple
-    csr = matrix.tocsr()
-    for color in grid.checkerboard():
-        sub = csr[color][:, color]
-        coupling = sub - sp.diags(sub.diagonal())
-        if coupling.nnz and abs(coupling).max() > 0:
-            raise InvalidSpec("stencil couples same-color nodes; not a 5-point stencil")
+    coo = matrix.tocoo()
+    parity = sum(grid.axis_indices()) % 2
+    coupled = (coo.row != coo.col) & (parity[coo.row] == parity[coo.col]) & (coo.data != 0)
+    if coupled.any():
+        raise InvalidSpec("stencil couples same-color nodes; not a 5-point stencil")
 
 
-def coercivity_constant(op: AssembledOperator) -> float:
+def _coercivity_constant(op: AssembledOperator) -> float:
     """Smallest eigenvalue of the symmetric part (dense; small grids only)."""
     if op.grid.total > 4096:
         raise InvalidSpec("coercivity check is a dense computation; grid too large")

@@ -23,7 +23,6 @@ from .controls import ControlOperator, apply_control
 from .errors import (
     GridMismatch,
     InfeasibleObstacles,
-    InvalidSpec,
     NoConvergence,
     UnsupportedControlKind,
 )
@@ -31,8 +30,6 @@ from .grid import (
     AssembledOperator,
     Grid,
     GridFunction,
-    assemble,
-    interpolation,
     natural_scale,
     require_same_grid,
 )
@@ -45,8 +42,11 @@ PSOR_RELAXATION = 1.5
 # method -> (tolerance on the natural residual, iteration cap)
 SOLVER_DEFAULTS = {"psor": (1e-8, 200_000), "pdas": (1e-10, 200)}
 # PDAS seeds from the half-size grid once that grid has this many nodes per
-# axis; on smaller grids the coarse solve costs about what it saves
-COARSE_MIN = 32
+# axis. The coarse operator is cached on the fine one
+# (AssembledOperator.coarse_level), so a seed costs one coarse solve; on the
+# 32^2 grids of verify-all it cuts the fine level from about 6 set iterations
+# to about 2
+COARSE_MIN = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,19 +156,32 @@ def _psor_bounds(
 
 def _reduced_solve(
     matrix: sp.csr_matrix,
+    transpose: sp.csr_matrix,
     b: np.ndarray,
     free: np.ndarray,
     x: np.ndarray,
 ) -> np.ndarray:
     """Solve A[free,free] x_free = b_free - A[free,~free] x_~free in place.
 
-    x keeps its values off the free set. This is the one masked direct solve
-    behind PDAS steps and the reduced derivative and adjoint systems.
+    matrix is A and transpose is A^T, both CSR; the arrays of A^T are A's
+    CSC arrays, so the free block is read off them in CSC form without
+    slicing. x keeps its values off the free set. This is the one masked
+    direct solve behind PDAS steps and the reduced derivative and adjoint
+    systems.
     """
     if free.any():
-        rows = matrix[free]
-        rhs = b[free] - rows[:, ~free] @ x[~free]
-        x[free] = spla.splu(rows[:, free].tocsc()).solve(rhs)
+        rhs = (b - matrix @ np.where(free, 0.0, x))[free]
+        indptr, rows = transpose.indptr, transpose.indices
+        keep = np.repeat(free, np.diff(indptr)) & free[rows]
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        renumber = np.cumsum(free) - 1
+        m = int(renumber[-1]) + 1
+        block = sp.csc_matrix(
+            (transpose.data[keep], renumber[rows[keep]],
+             np.append(kept[indptr[:-1][free]], kept[-1])),
+            shape=(m, m),
+        )
+        x[free] = spla.splu(block).solve(rhs)
     return x
 
 
@@ -184,22 +197,21 @@ def _active_sets(xi: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 
 def _pdas_bounds(
-    matrix: sp.csr_matrix,
+    operator: AssembledOperator,
     b: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     tol: float,
     max_iter: int,
-    scale: float,
-    colors,
     start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray | None, int, float, int]:
     """Primal-dual active set iteration; returns at a fixed point or small residual.
 
     Starts from the (lower, upper) active sets in start, or from empty sets.
-    Set updates follow _active_sets with c = 1/scale. Counts set updates, so
-    an instance whose first classification is already a fixed point reports
-    0 iterations. Returns (x, set iterations, residual, PSOR sweeps).
+    Set updates follow _active_sets with c = 1/scale, scale the grid's
+    natural_scale. Counts set updates, so an instance whose first
+    classification is already a fixed point reports 0 iterations. Returns
+    (x, set iterations, residual, PSOR sweeps).
 
     The set iteration can cycle when the obstacles nearly touch and nodes
     flip between the two bounds. A repeated set signature is detected. From
@@ -209,6 +221,8 @@ def _pdas_bounds(
     tightened tolerance so the downstream multiplier classification sees the
     same noise floor as an exact reduced solve.
     """
+    matrix = operator.matrix
+    scale = natural_scale(operator.grid)
     n = b.size
     c = 1.0 / scale
     if start is None:
@@ -222,7 +236,7 @@ def _pdas_bounds(
         x = np.zeros_like(b)
         x[act_lo] = lo[act_lo]
         x[act_up] = hi[act_up]
-        _reduced_solve(matrix, b, ~(act_lo | act_up), x)
+        _reduced_solve(matrix, operator.adjoint_matrix, b, ~(act_lo | act_up), x)
         xi = matrix @ x - b
         new_lo, new_up = _active_sets(xi, x, lo, hi, c)
         err = _residual(xi, x, lo, hi, scale)
@@ -233,7 +247,7 @@ def _pdas_bounds(
             if start is not None:
                 return None, it, err, 0
             x, sweeps, err = _psor_bounds(
-                matrix, b, lo, hi, colors, x,
+                matrix, b, lo, hi, operator.grid.checkerboard(), x,
                 1.0, 0.01 * tol, SOLVER_DEFAULTS["psor"][1], scale,
             )
             return x, it, err, sweeps
@@ -257,22 +271,18 @@ def _coarse_sets(
     coarse state comes out in fine-state units. Restriction is a convex
     combination, so the coarse bounds stay apart. There is no seed when the
     coarse grid would have fewer than COARSE_MIN nodes on an axis, when a
-    bound is infinite (the cone VI), or when the coarse operator is not an
-    M-matrix (convection past the mesh-Peclet bound).
+    bound is infinite (the cone VI), or when the operator has no coarse
+    level (convection past the mesh-Peclet bound).
     """
     grid = operator.grid
-    shape = tuple(n // 2 for n in grid.shape)
-    if min(shape) < COARSE_MIN or not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+    if (min(grid.shape) // 2 < COARSE_MIN
+            or not (np.isfinite(lo).all() and np.isfinite(hi).all())
+            or operator.coarse_level is None):
         return None
-    coarse = Grid(shape, grid.extent)
-    try:
-        coarse_operator = assemble(coarse, operator.spec)
-    except InvalidSpec:
-        return None
-    restrict = interpolation(grid, coarse)
+    coarse_operator, restrict, prolong = operator.coarse_level
     x_coarse, _, _ = _pdas_solve(coarse_operator, restrict @ b, restrict @ lo,
                                  restrict @ hi, tol, max_iter)
-    x = interpolation(coarse, grid) @ x_coarse
+    x = prolong @ x_coarse
     return _active_sets(operator.matrix @ x - b, x, lo, hi, 1.0 / natural_scale(grid))
 
 
@@ -287,10 +297,8 @@ def _pdas_solve(
     """PDAS on the operator's grid, seeded by _coarse_sets where it gives a
     start. A seeded iteration that cycles restarts cold on the same grid.
     Returns (x, set iterations plus PSOR sweeps, residual)."""
-    grid = operator.grid
-    args = (operator.matrix, b, lo, hi, tol, max_iter,
-            natural_scale(grid), grid.checkerboard())
-    start = _coarse_sets(operator, b, lo, hi, tol, max_iter)
+    args = (operator, b, lo, hi, tol, max_iter)
+    start = _coarse_sets(*args)
     x, iterations = None, 0
     if start is not None:
         x, iterations, err, sweeps = _pdas_bounds(*args, start=start)
@@ -299,7 +307,7 @@ def _pdas_solve(
         x, cold, err, sweeps = _pdas_bounds(*args)
         iterations += cold
     log.debug("pdas grid=%s seed=%s set_iterations=%d cold_restart=%s psor_sweeps=%d",
-              "x".join(map(str, grid.shape)), "cold" if start is None else "coarse",
+              "x".join(map(str, operator.grid.shape)), "cold" if start is None else "coarse",
               iterations, restarted, sweeps)
     return x, iterations + sweeps, err
 

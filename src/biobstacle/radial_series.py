@@ -216,8 +216,8 @@ def profile_ramp(config: RingConfig, t_knee: float | None = None) -> RadialProfi
     )
 
 
-def profile_piecewise_linear(knots_t: np.ndarray, knots_w: np.ndarray,
-                             name: str = "piecewise_linear") -> RadialProfile:
+def _profile_piecewise_linear(knots_t: np.ndarray, knots_w: np.ndarray,
+                              name: str = "piecewise_linear") -> RadialProfile:
     """Piecewise-linear W through (knots_t, knots_w); constant past the ends.
 
     Gradient integral is the exact sum of slope^2 * interval length.

@@ -10,6 +10,7 @@ one-sided objects survive, and the two sides must genuinely differ.
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from biobstacle import (
     OperatorSpec,
@@ -26,6 +27,7 @@ from biobstacle import (
 from biobstacle import derivatives
 from biobstacle.derivatives import reduced_linear_solve
 from biobstacle.errors import InvalidD
+from biobstacle.obstacle import _reduced_solve
 from biobstacle.problems import biactive_instance, mode_field, strict_instance, unit_grid
 
 
@@ -150,17 +152,23 @@ def test_one_sided_quotients_match_their_side(biactive_setup):
     assert ((cone >= lo) & (cone <= hi)).mean() > 0.99
 
 
+def _operator(setup, kind):
+    """The instance's operator, or a nonsymmetric convection one on its grid."""
+    operator = setup[0]["problem"].operator
+    if kind == "convection":
+        operator = assemble(operator.grid, OperatorSpec(
+            kind="laplacian_plus_convection", convection=(30.0, -20.0)))
+        assert abs(operator.matrix - operator.adjoint_matrix).max() > 0
+    return operator
+
+
 @pytest.mark.parametrize("kind", ["manufactured", "convection"])
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 def test_reduced_solve_zero_outside_domain(strict_setup, kind, adjoint):
     """The masked solve on D = inactive set: A[D,D] x_D = rhs_D (A^T with
     adjoint=True) and x = 0 off D, also for a nonsymmetric operator."""
-    inst, sol, part = strict_setup
-    operator = inst["problem"].operator
-    if kind == "convection":
-        operator = assemble(operator.grid, OperatorSpec(
-            kind="laplacian_plus_convection", convection=(30.0, -20.0)))
-        assert abs(operator.matrix - operator.adjoint_matrix).max() > 0
+    _, _, part = strict_setup
+    operator = _operator(strict_setup, kind)
     matrix = operator.adjoint_matrix if adjoint else operator.matrix
     D = part.inactive
     rng = np.random.default_rng(8)
@@ -169,6 +177,40 @@ def test_reduced_solve_zero_outside_domain(strict_setup, kind, adjoint):
     assert (eta[~D] == 0.0).all()
     res = (matrix @ eta - rhs)[D]
     assert np.abs(res).max() <= 1e-8 * max(1.0, np.abs(rhs).max())
+
+
+def _sliced_reduced_solve(matrix, b, free, x):
+    """Reference: the free block sliced out of the CSR matrix."""
+    x = x.copy()
+    rows = matrix[free]
+    rhs = b[free] - rows[:, ~free] @ x[~free]
+    x[free] = splu(rows[:, free].tocsc()).solve(rhs)
+    return x
+
+
+@pytest.mark.parametrize("mask", ["inactive", "single", "all"])
+@pytest.mark.parametrize("kind", ["manufactured", "convection"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_reduced_solve_matches_slicing_bit_for_bit(strict_setup, mask, kind, adjoint):
+    """The free block read off the transpose's CSR arrays is the sliced block
+    entry for entry, so splu returns the same bits: for the zero start of
+    the derivative systems and for a PDAS start that is nonzero off the
+    free set."""
+    _, _, part = strict_setup
+    operator = _operator(strict_setup, kind)
+    matrix, transpose = operator.matrix, operator.adjoint_matrix
+    if adjoint:
+        matrix, transpose = transpose, matrix
+    n = operator.grid.total
+    free = {"inactive": part.inactive,
+            "single": np.arange(n) == n // 3,
+            "all": np.ones(n, dtype=bool)}[mask]
+    rng = np.random.default_rng(12)
+    b, x = rng.standard_normal((2, n))
+    assert np.array_equal(reduced_linear_solve(operator, b, free, adjoint=adjoint),
+                          _sliced_reduced_solve(matrix, b, free, np.zeros(n)))
+    assert np.array_equal(_reduced_solve(matrix, transpose, b, free, x.copy()),
+                          _sliced_reduced_solve(matrix, b, free, x))
 
 
 def test_mosco_experiment_tail_and_sandwich(biactive_setup):

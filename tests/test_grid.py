@@ -17,12 +17,11 @@ from biobstacle import (
     GridFunction,
     OperatorSpec,
     assemble,
-    coercivity_constant,
     mass_norm,
     natural_scale,
 )
 from biobstacle.errors import GridMismatch, InvalidSpec
-from biobstacle.grid import interpolation
+from biobstacle.grid import _check_two_coloring, _coercivity_constant, interpolation
 from biobstacle.problems import random_instance, unit_grid
 
 
@@ -45,10 +44,10 @@ def test_laplacian_2d_frozen_entries():
 def test_coercivity_frozen_values():
     # 1D n=3: smallest eigenvalue of tridiag(-16,32,-16) is 32 - 16*sqrt(2)
     op1 = assemble(Grid((3,)), OperatorSpec("laplacian"))
-    assert coercivity_constant(op1) == pytest.approx(32.0 - 16.0 * math.sqrt(2.0))
+    assert _coercivity_constant(op1) == pytest.approx(32.0 - 16.0 * math.sqrt(2.0))
     # 2D n=2: twice the 1D minimum 18*(1 - cos(pi/3)) = 9
     op2 = assemble(Grid((2, 2)), OperatorSpec("laplacian"))
-    assert coercivity_constant(op2) == pytest.approx(18.0)
+    assert _coercivity_constant(op2) == pytest.approx(18.0)
 
 
 def test_reaction_shifts_diagonal_only():
@@ -152,6 +151,23 @@ def test_checkerboard_partitions_and_decouples(nx, ny):
     for color in (red, black):
         sub = matrix[color][:, color].toarray()
         np.testing.assert_allclose(sub - np.diag(np.diag(sub)), 0.0)
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 5)])
+def test_same_color_coupling_is_refused(shape):
+    """The assembled operators pass the two-coloring check; one coupling
+    between diagonal neighbours (same parity) on top of the 5-point
+    stencil raises."""
+    grid = Grid(shape)
+    for spec in (OperatorSpec("laplacian"),
+                 OperatorSpec("laplacian_plus_reaction", reaction=1.0),
+                 OperatorSpec("laplacian_plus_convection",
+                              convection=(2.0,) * len(shape))):
+        _check_two_coloring(assemble(grid, spec).matrix, grid)
+    matrix = assemble(grid, OperatorSpec("laplacian")).matrix.tolil()
+    matrix[0, 2 if len(shape) == 1 else shape[0] + 1] = -1e-3
+    with pytest.raises(InvalidSpec, match="same-color"):
+        _check_two_coloring(matrix.tocsr(), grid)
 
 
 @given(n=st.integers(2, 30))

@@ -17,7 +17,6 @@ from biobstacle import (
     measure_mass_bound,
     pair_with_radial,
     profile_log_power,
-    profile_piecewise_linear,
     profile_ramp,
     profile_state,
     ring_log_radii,
@@ -31,6 +30,7 @@ from biobstacle.errors import (
     NoClosedFormGradient,
 )
 from biobstacle.radial_series import (
+    _profile_piecewise_linear,
     bounded_tail_remainder,
     growth_constant,
     lower_bound_terms,
@@ -163,18 +163,18 @@ def test_profiles_refuse_points_outside_the_disk():
 
 
 def test_piecewise_linear_profile():
-    prof = profile_piecewise_linear([0.0, 1.0, 3.0], [0.0, 2.0, 2.0])
+    prof = _profile_piecewise_linear([0.0, 1.0, 3.0], [0.0, 2.0, 2.0])
     assert prof.grad_sq_integral() == 4.0
     np.testing.assert_allclose(
         prof.values([0.0, 0.5, 1.0, 2.0, 3.0, 10.0]),
         [0.0, 1.0, 2.0, 2.0, 2.0, 2.0],
     )
     with pytest.raises(InvalidSpec):
-        profile_piecewise_linear([0.0, 0.0, 1.0], [0.0, 1.0, 2.0])
+        _profile_piecewise_linear([0.0, 0.0, 1.0], [0.0, 1.0, 2.0])
     with pytest.raises(InvalidSpec):
-        profile_piecewise_linear([0.0], [1.0])
+        _profile_piecewise_linear([0.0], [1.0])
     with pytest.raises(InvalidSpec):
-        profile_piecewise_linear([0.0, 1.0], [0.0, 1.0, 2.0])
+        _profile_piecewise_linear([0.0, 1.0], [0.0, 1.0, 2.0])
 
 
 def test_missing_closed_form_gradient_raises():
@@ -320,7 +320,7 @@ def test_h1_bound_holds_for_arbitrary_piecewise_profiles(values):
     # any piecewise-linear w, whatever its boundary value
     tb = CFG.t_boundary
     knots_t = tb + np.array([0.0, 40.0, 120.0, 250.0, 400.0])
-    prof = profile_piecewise_linear(knots_t, np.array(values), name="random")
+    prof = _profile_piecewise_linear(knots_t, np.array(values), name="random")
     sums = pair_with_radial(CFG, prof, 3000)
     bound = h1_pairing_bound(CFG, prof)
     assert float(np.abs(sums.total).max()) <= bound + 1e-12

@@ -18,7 +18,6 @@ from biobstacle import (
     ObstaclePair,
     OperatorSpec,
     assemble,
-    coercivity_constant,
     reflect_problem,
     solution_residual,
     solve_bop,
@@ -33,7 +32,7 @@ from biobstacle.errors import (
     NoConvergence,
     UnsupportedControlKind,
 )
-from biobstacle.grid import OPERATOR_KINDS, natural_scale
+from biobstacle.grid import OPERATOR_KINDS, _coercivity_constant, natural_scale
 from biobstacle.multipliers import classify_sets, node_flags
 from biobstacle.obstacle import COARSE_MIN, _pdas_bounds, natural_residual
 from biobstacle.problems import (
@@ -224,28 +223,29 @@ def test_seeded_cycle_restarts_cold(caplog, monkeypatch):
     np.testing.assert_allclose(sol.y.values, ref.y.values, atol=1e-8)
 
 
+@pytest.mark.parametrize("n", [2 * COARSE_MIN, 128])
 @pytest.mark.parametrize("operator_kind, control_kind", [
     ("laplacian", "identity"),
     ("laplacian_plus_reaction", "smooth_monotone_superposition"),
     ("laplacian_plus_convection", "identity"),
     ("laplacian", "affine_monotone"),
 ])
-def test_seeded_pdas_matches_cold_at_128(caplog, operator_kind, control_kind):
-    """At 128^2 PDAS starts from the 64^2 solution (itself seeded from 32^2):
+def test_seeded_pdas_matches_cold(caplog, n, operator_kind, control_kind):
+    """From 2*COARSE_MIN nodes per axis PDAS starts from the half-size
+    grid's solution (at 128^2 from 64^2, and so on down to COARSE_MIN):
     same state as the cold iteration, in fewer fine-level set updates."""
-    grid = unit_grid(128, dim=2)
-    problem, u = random_instance(grid, np.random.default_rng([128, len(control_kind)]),
+    grid = unit_grid(n, dim=2)
+    problem, u = random_instance(grid, np.random.default_rng([n, len(control_kind)]),
                                  operator_kinds=(operator_kind,),
                                  control_kinds=(control_kind,))
     with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
         sol = solve_bop(problem, u, method="pdas")
     levels = _pdas_levels(caplog)
-    assert levels[-1]["grid"] == "128x128" and levels[-1]["seed"] == "coarse"
+    assert levels[-1]["grid"] == f"{n}x{n}" and levels[-1]["seed"] == "coarse"
     assert levels[-1]["cold_restart"] == "False"
     psi, phi = problem.obstacles.psi, problem.obstacles.phi
     cold, cold_iterations, _, sweeps = _pdas_bounds(
-        problem.operator.matrix, problem.load(u), psi, phi, 1e-10, 200,
-        natural_scale(grid), grid.checkerboard())
+        problem.operator, problem.load(u), psi, phi, 1e-10, 200)
     assert sweeps == 0
     assert np.abs(sol.y.values - cold).max() <= 1e-8
     assert solution_residual(sol) <= 1e-10
@@ -253,14 +253,16 @@ def test_seeded_pdas_matches_cold_at_128(caplog, operator_kind, control_kind):
 
 
 def test_convection_past_the_peclet_bound_stops_coarsening(caplog):
-    """The 64^2 grid takes this velocity, the 32^2 grid would lose the
-    M-matrix property: the level solves cold instead of raising."""
+    """A grid of 2*COARSE_MIN nodes per axis takes this velocity, the
+    COARSE_MIN grid would lose the M-matrix property: the level solves cold
+    instead of raising."""
     grid = unit_grid(2 * COARSE_MIN, dim=2)
     velocity = (0.8 * 2.0 / grid.spacing[0], 0.0)
     coarse = unit_grid(COARSE_MIN, dim=2)
     with pytest.raises(InvalidSpec):
         assemble(coarse, OperatorSpec("laplacian_plus_convection", convection=velocity))
     operator = assemble(grid, OperatorSpec("laplacian_plus_convection", convection=velocity))
+    assert operator.coarse_level is None
     base, u = random_instance(grid, np.random.default_rng(5),
                               operator_kinds=("laplacian",))
     problem = BopProblem(operator=operator, control=base.control,
@@ -268,8 +270,26 @@ def test_convection_past_the_peclet_bound_stops_coarsening(caplog):
     with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
         sol = solve_bop(problem, u, method="pdas")
     [level] = _pdas_levels(caplog)
-    assert level["grid"] == "64x64" and level["seed"] == "cold"
+    assert level["grid"] == "x".join(map(str, grid.shape)) and level["seed"] == "cold"
     assert solution_residual(sol) <= 1e-10
+
+
+def test_coarse_level_is_assembled_once_per_operator(monkeypatch):
+    """Solves that share an operator share its cached coarse level: two
+    solves on a 4*COARSE_MIN grid assemble each coarser level once."""
+    calls = []
+
+    def counting_assemble(grid, spec):
+        calls.append(grid.shape)
+        return assemble(grid, spec)
+
+    problem, u = random_instance(unit_grid(4 * COARSE_MIN, dim=2),
+                                 np.random.default_rng(3))
+    monkeypatch.setattr("biobstacle.grid.assemble", counting_assemble)
+    first = solve_bop(problem, u)
+    second = solve_bop(problem, u.with_values(1.1 * u.values))
+    assert calls == [(2 * COARSE_MIN,) * 2, (COARSE_MIN,) * 2]
+    assert first.problem.operator.coarse_level is second.problem.operator.coarse_level
 
 
 def test_no_seed_below_coarse_min_or_for_infinite_bounds(caplog):
@@ -292,7 +312,7 @@ def test_solution_lipschitz_in_the_load():
     grid = unit_grid(10, dim=2)
     problem, u1 = random_instance(grid, rng)
     u2 = grid.function(u1.values + rng.normal(size=grid.total))
-    c = coercivity_constant(problem.operator)
+    c = _coercivity_constant(problem.operator)
     y1 = solve_bop(problem, u1).y.values
     y2 = solve_bop(problem, u2).y.values
     lhs = np.linalg.norm(y1 - y2)
