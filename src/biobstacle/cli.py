@@ -17,6 +17,7 @@ import numpy as np
 
 from . import problems
 from .derivatives import (
+    SIDES,
     directional_derivative,
     generalized_derivative,
     gateaux_derivative_on_D,
@@ -66,13 +67,30 @@ def _load_config(path: str | None) -> dict:
 
 
 def _setting(args: argparse.Namespace, config: dict, key: str, default):
-    """Flag beats config file beats default; flags use dashes, configs keys."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+    """Flag beats config file beats default, converted to the default's type;
+    flags use dashes, configs keys."""
+    value = getattr(args, key.replace("-", "_"), None)
+    if value is None:
+        value = config.get(key, default)
+    try:
+        return type(default)(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be of type {type(default).__name__}, got {value!r}")
+
+
+def _seed(args, config) -> int:
+    seed = _setting(args, config, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _side(args, config) -> str:
+    # the --side flag is limited to SIDES by argparse; a config value is not
+    side = _setting(args, config, "side", "lower")
+    if side not in SIDES:
+        raise ConfigError(f"side must be one of {SIDES}, got {side!r}")
+    return side
 
 
 def _parse_schedule(text: str) -> tuple[int, ...]:
@@ -92,30 +110,26 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
     return tuple(steps)
 
 
-def _grid_size(args, config, default=32) -> int:
-    n = int(_setting(args, config, "grid", default))
+def _grid_size(args, config) -> int:
+    n = _setting(args, config, "grid", 32)
     if n < 2:
         raise ConfigError(f"grid must have at least 2 nodes per axis, got {n}")
     return n
 
 
-def _out_dir(args) -> Path:
-    return Path(args.out)
-
-
 def run_solve(args) -> dict:
     config = _load_config(args.config)
-    seed = int(_setting(args, config, "seed", 0))
+    seed = _seed(args, config)
     n = _grid_size(args, config)
-    dim = int(_setting(args, config, "dim", 2))
-    method = str(_setting(args, config, "method", "pdas"))
+    dim = _setting(args, config, "dim", 2)
+    method = _setting(args, config, "method", "pdas")
     if method not in ("psor", "pdas"):
         raise ConfigError(f"method must be psor or pdas, got {method!r}")
     rng = np.random.default_rng([seed, 101])
     problem, u = problems.random_instance(problems.unit_grid(n, dim=dim), rng)
     solution = solve_bop(problem, u, method=method)
     partition = classify_sets(solution)
-    out = _out_dir(args)
+    out = Path(args.out)
     write_solution_csv(out / "solve_solution.csv", solution, partition)
     report = {
         "experiment": "solve",
@@ -132,10 +146,10 @@ def run_solve(args) -> dict:
 
 def run_derivative(args) -> dict:
     config = _load_config(args.config)
-    seed = int(_setting(args, config, "seed", 0))
+    seed = _seed(args, config)
     n = _grid_size(args, config)
-    side = str(_setting(args, config, "side", "lower"))
-    amplitude = float(_setting(args, config, "amplitude", 50.0))
+    side = _side(args, config)
+    amplitude = _setting(args, config, "amplitude", 50.0)
     inst = problems.derivative_instance(problems.unit_grid(n, dim=2), amplitude)
     problem, u, h = inst["problem"], inst["u"], inst["h"]
     solution = solve_bop(problem, u)
@@ -144,7 +158,7 @@ def run_derivative(args) -> dict:
     reduced = generalized_derivative(solution, partition, h, side)
     inactive = gateaux_derivative_on_D(solution, partition, h)
     agreement = float(np.abs(cone.eta.values - inactive.eta.values).max())
-    out = _out_dir(args)
+    out = Path(args.out)
     write_derivative_csv(out / "derivative_eta.csv", problem.grid,
                          reduced.eta.values, reduced.D_used)
     report = {
@@ -165,17 +179,16 @@ def run_derivative(args) -> dict:
 
 def run_mosco(args) -> dict:
     config = _load_config(args.config)
-    seed = int(_setting(args, config, "seed", 0))
+    seed = _seed(args, config)
     n = _grid_size(args, config)
-    side = str(_setting(args, config, "side", "lower"))
-    schedule_text = str(_setting(args, config, "schedule", "2:256"))
-    schedule = _parse_schedule(schedule_text)
+    side = _side(args, config)
+    schedule = _parse_schedule(_setting(args, config, "schedule", "2:256"))
     inst = problems.mosco_instance(problems.unit_grid(n, dim=2))
     solution = solve_bop(inst["problem"], inst["u"])
     partition = classify_sets(solution)
     result = mosco_convergence_experiment(solution, partition, inst["h"], side=side,
                                           schedule=schedule, e=inst["e"])
-    out = _out_dir(args)
+    out = Path(args.out)
     write_mosco_csv(out / "mosco_errors.csv", result["steps"])
     report = {
         "experiment": "mosco",
@@ -194,15 +207,15 @@ def run_mosco(args) -> dict:
 
 def run_control(args) -> dict:
     config = _load_config(args.config)
-    seed = int(_setting(args, config, "seed", 0))
+    seed = _seed(args, config)
     n = _grid_size(args, config)
-    side = str(_setting(args, config, "side", "lower"))
-    steps = int(_setting(args, config, "steps", 50))
+    side = _side(args, config)
+    steps = _setting(args, config, "steps", 50)
     rng = np.random.default_rng([seed, 108])
     inst = problems.control_instance(problems.unit_grid(n, dim=2), rng)
     u0 = problems.perturbed_control(inst, rng)
     trace = descent_loop(inst["control_problem"], u0, steps=steps, side=side)
-    out = _out_dir(args)
+    out = Path(args.out)
     write_descent_csv(out / "control_trace.csv", trace.rows)
     objectives = [row["objective"] for row in trace.rows]
     strictly_decreasing = all(b < a for a, b in zip(objectives, objectives[1:]))
@@ -224,16 +237,12 @@ def run_control(args) -> dict:
 
 def run_counterexample(args) -> dict:
     config = _load_config(args.config)
-    beta = float(_setting(args, config, "beta", 1.0 / 3.0))
-    omega_exponent = float(_setting(args, config, "omega_exponent", 1.0))
-    k_max = int(_setting(args, config, "K", 100_000))
-    try:
-        ring_config = RingConfig(beta=beta, omega_exponent=omega_exponent)
-    except (InvalidBeta, InvalidSpec) as exc:
-        raise ConfigError(str(exc))
-    study = series_study(ring_config, K_max=k_max,
-                         tail_from=max(1, min(10_000, k_max)))
-    out = _out_dir(args)
+    beta = _setting(args, config, "beta", 1.0 / 3.0)
+    omega_exponent = _setting(args, config, "omega_exponent", 1.0)
+    k_max = _setting(args, config, "K", 100_000)
+    ring_config = RingConfig(beta=beta, omega_exponent=omega_exponent)
+    study = series_study(ring_config, K_max=k_max, tail_from=min(10_000, k_max))
+    out = Path(args.out)
     write_series_csv(out / "counterexample_series.csv", study["rows"])
     report = {
         "experiment": "counterexample",
@@ -252,9 +261,9 @@ def run_counterexample(args) -> dict:
 
 def run_verify_all(args) -> dict:
     config = _load_config(args.config)
-    seed = int(_setting(args, config, "seed", 0))
+    seed = _seed(args, config)
     report = run_acceptance(seed)
-    write_json(_out_dir(args) / "verify_report.json", report)
+    write_json(Path(args.out) / "verify_report.json", report)
     if not report["all_passed"]:
         failed = [c["name"] for c in report["criteria"] if not c["passed"]]
         raise AssertionFailure(f"criteria failed: {', '.join(failed)}")

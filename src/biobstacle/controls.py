@@ -113,14 +113,7 @@ def apply_control_derivative(
 ) -> GridFunction:
     """Load vector f'(u) h (closed form, no differencing)."""
     require_same_grid(u, h)
-    if u.grid != control.grid:
-        raise GridMismatch("control and argument live on different grids")
-    slope = control._slope(u.values)
-    if slope is not None:
-        return h.with_values(control.grid.mass * slope * h.values)
-    w = control.weight
-    wh = w * h.values if np.isscalar(w) else w @ h.values
-    return h.with_values(control.grid.mass * wh)
+    return h.with_values(control_derivative_matrix(control, u) @ h.values)
 
 
 def control_derivative_matrix(control: ControlOperator, u: GridFunction) -> sp.csr_matrix:

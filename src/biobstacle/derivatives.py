@@ -38,7 +38,6 @@ CONE_TOL = 1e-12   # natural-residual tolerance of the cone VI
 class DerivativeResult:
     eta: GridFunction
     D_used: np.ndarray | None
-    side: str | None
 
 
 def reduced_linear_solve(operator, rhs: np.ndarray, mask: np.ndarray,
@@ -75,14 +74,14 @@ def directional_derivative(
                                 lo, hi, method="psor", tol=CONE_TOL)
     if not ((eta >= lo - 1e-12).all() and (eta <= hi + 1e-12).all()):
         raise InvalidD("cone VI solution left the critical cone")
-    return DerivativeResult(eta=problem.grid.function(eta), D_used=None, side=None)
+    return DerivativeResult(eta=problem.grid.function(eta), D_used=None)
 
 
-def _reduced_derivative(solution: BopSolution, h: GridFunction, D: np.ndarray,
-                        side: str | None) -> DerivativeResult:
+def _reduced_derivative(solution: BopSolution, h: GridFunction,
+                        D: np.ndarray) -> DerivativeResult:
     problem = solution.problem
     eta = reduced_linear_solve(problem.operator, _derivative_load(solution, h), D)
-    return DerivativeResult(eta=problem.grid.function(eta), D_used=D, side=side)
+    return DerivativeResult(eta=problem.grid.function(eta), D_used=D)
 
 
 def gateaux_derivative_on_D(
@@ -91,7 +90,7 @@ def gateaux_derivative_on_D(
     h: GridFunction,
 ) -> DerivativeResult:
     """Reduced variational equation on D = the inactive set."""
-    return _reduced_derivative(solution, h, partition.inactive, None)
+    return _reduced_derivative(solution, h, partition.inactive)
 
 
 def domain_for_side(partition: SetPartition, side: str) -> np.ndarray:
@@ -115,16 +114,16 @@ def generalized_derivative(
 ) -> DerivativeResult:
     """One-sided generalized derivative via the reduced equation on the
     side's canonical domain."""
-    return _reduced_derivative(solution, h, domain_for_side(partition, side), side)
+    return _reduced_derivative(solution, h, domain_for_side(partition, side))
 
 
 def mosco_convergence_experiment(
     solution: BopSolution,
     partition: SetPartition,
     h: GridFunction,
-    side: str = "lower",
-    schedule: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256),
-    e: GridFunction | None = None,
+    side: str,
+    schedule: tuple[int, ...],
+    e: GridFunction,
 ) -> dict:
     """Reduced derivatives along a monotone control sequence u_n -> u.
 
@@ -136,8 +135,6 @@ def mosco_convergence_experiment(
     inclusions between u_n and u as a control-ordered pair.
     """
     problem, u = solution.problem, solution.u
-    if e is None:
-        e = problem.grid.constant(1.0)
     if (e.values <= 0).any():
         raise InvalidD("perturbation e must be positive nodewise")
     sign = -1.0 if side == "lower" else 1.0

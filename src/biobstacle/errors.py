@@ -42,10 +42,6 @@ class EvaluationDomain(BiobstacleError):
     """Radial test function sampled outside its domain."""
 
 
-class NoClosedFormGradient(BiobstacleError):
-    """Requested radial profile has no closed-form gradient integral."""
-
-
 class ConfigError(BiobstacleError):
     """Malformed or inconsistent experiment configuration."""
 

@@ -92,9 +92,6 @@ class Grid:
     def constant(self, value: float) -> "GridFunction":
         return GridFunction(self, np.full(self.total, float(value)))
 
-    def zeros(self) -> "GridFunction":
-        return self.constant(0.0)
-
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
@@ -118,11 +115,6 @@ class GridFunction:
 
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.grid, values)
-
-    def dot(self, other: "GridFunction") -> float:
-        """Plain dot pairing (load vector against grid function)."""
-        require_same_grid(self, other)
-        return float(self.values @ other.values)
 
 
 def require_same_grid(*objs) -> Grid:
@@ -171,14 +163,6 @@ class AssembledOperator:
     spec: OperatorSpec
     matrix: sp.csr_matrix
     adjoint_matrix: sp.csr_matrix
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
-
-    def apply(self, y: GridFunction) -> GridFunction:
-        require_same_grid(self, y)
-        return y.with_values(self.matrix @ y.values)
 
     @cached_property
     def coarse_level(self) -> tuple["AssembledOperator", sp.csr_matrix, sp.csr_matrix] | None:

@@ -312,14 +312,12 @@ def _pdas_solve(
     return x, iterations + sweeps, err
 
 
-def _solver_options(method: str, tol: float | None,
-                    max_iter: int | None) -> tuple[float, int]:
-    """The method's tolerance and iteration cap, defaults filled in."""
+def _solver_options(method: str, tol: float | None) -> tuple[float, int]:
+    """The method's tolerance, default filled in, and its iteration cap."""
     if method not in SOLVER_DEFAULTS:
         raise ValueError(f"method must be 'psor' or 'pdas', got {method!r}")
-    default_tol, default_max_iter = SOLVER_DEFAULTS[method]
-    return (default_tol if tol is None else tol,
-            default_max_iter if max_iter is None else max_iter)
+    default_tol, max_iter = SOLVER_DEFAULTS[method]
+    return default_tol if tol is None else tol, max_iter
 
 
 def solve_vi_bounds(
@@ -329,7 +327,6 @@ def solve_vi_bounds(
     hi: np.ndarray,
     method: str = "pdas",
     tol: float | None = None,
-    max_iter: int | None = None,
 ) -> tuple[np.ndarray, int, float]:
     """Solve the box-constrained VI for general (possibly infinite) bounds.
 
@@ -339,7 +336,7 @@ def solve_vi_bounds(
     COARSE_MIN nodes per axis and the bounds are finite, else from empty
     active sets.
     """
-    tol, max_iter = _solver_options(method, tol, max_iter)
+    tol, max_iter = _solver_options(method, tol)
     if method == "pdas":
         return _pdas_solve(operator, b, lo, hi, tol, max_iter)
     grid = operator.grid
@@ -355,7 +352,6 @@ def solve_bop(
     u: GridFunction,
     method: str = "pdas",
     tol: float | None = None,
-    max_iter: int | None = None,
 ) -> BopSolution:
     """Solve the bilateral obstacle problem at control u.
 
@@ -367,7 +363,7 @@ def solve_bop(
     """
     if u.grid != problem.grid:
         raise GridMismatch("control iterate lives on a different grid")
-    tol, max_iter = _solver_options(method, tol, max_iter)
+    tol, _ = _solver_options(method, tol)
     if problem.obstacles.separation <= 2.0 * tol:
         raise InfeasibleObstacles(
             f"obstacle separation {problem.obstacles.separation:.3e} "
@@ -381,7 +377,6 @@ def solve_bop(
         problem.obstacles.phi,
         method=method,
         tol=tol,
-        max_iter=max_iter,
     )
     xi = problem.operator.matrix @ y - b
     return BopSolution(

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, special
 
-from .errors import EvaluationDomain, InvalidBeta, InvalidSpec, NoClosedFormGradient
+from .errors import EvaluationDomain, InvalidBeta, InvalidSpec
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,7 +103,7 @@ def gap_bounds(k, beta: float) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def check_gap_bounds(beta: float, k_max: int = 1_000_000) -> dict:
+def check_gap_bounds(beta: float, k_max: int) -> dict:
     """Sweep every ring index up to k_max; report worst slack of both bounds."""
     k = np.arange(1, int(k_max) + 1, dtype=float)
     gap = log_radius_gap(k, beta)
@@ -125,15 +125,13 @@ class RadialProfile:
     """Radial test function given as W(t), t = -ln r, on [t_start, inf).
 
     grad_sq is the exact integral of W'(t)^2 over the domain, so the ambient
-    H^1_0 seminorm is sqrt(2*pi*grad_sq); None means no closed form is known
-    and grad_sq_integral() raises NoClosedFormGradient.
+    H^1_0 seminorm is sqrt(2*pi*grad_sq).
     """
 
     name: str
     t_start: float
-    bounded: bool
     _fn: Callable[[np.ndarray], np.ndarray]
-    _grad_sq: float | None
+    _grad_sq: float
 
     def values(self, t):
         t = np.asarray(t, dtype=float)
@@ -144,8 +142,6 @@ class RadialProfile:
         return self._fn(t)
 
     def grad_sq_integral(self) -> float:
-        if self._grad_sq is None:
-            raise NoClosedFormGradient(f"profile {self.name} ships no closed form")
         return self._grad_sq
 
     def h1_seminorm(self) -> float:
@@ -170,7 +166,6 @@ def profile_state(config: RingConfig) -> RadialProfile:
     return RadialProfile(
         name="state",
         t_start=tb,
-        bounded=True,
         _fn=lambda t: np.sin(t**beta),
         _grad_sq=grad_sq,
     )
@@ -190,27 +185,21 @@ def profile_log_power(config: RingConfig) -> RadialProfile:
     return RadialProfile(
         name="log_power",
         t_start=config.t_boundary,
-        bounded=False,
         _fn=lambda t: t**beta - math.pi,
         _grad_sq=state_grad_sq_envelope(config),
     )
 
 
-def profile_ramp(config: RingConfig, t_knee: float | None = None) -> RadialProfile:
-    """Ramp from 0 at the boundary to 1 before the first ring, then flat.
+def profile_ramp(config: RingConfig) -> RadialProfile:
+    """Ramp from 0 at the boundary to 1 at the first lower ring, then flat.
 
     Equals 1 on every ring, so its ring sums are exactly the measure masses.
     """
     tb = config.t_boundary
-    if t_knee is None:
-        t_knee = float(ring_log_radii(config, 1)[0])
-    if not t_knee > tb:
-        raise EvaluationDomain("ramp knee must sit strictly inside the domain")
-    width = t_knee - tb
+    width = float(ring_log_radii(config, 1)[0]) - tb
     return RadialProfile(
         name="ramp",
         t_start=tb,
-        bounded=True,
         _fn=lambda t: np.clip((t - tb) / width, 0.0, 1.0),
         _grad_sq=1.0 / width,
     )
@@ -230,7 +219,6 @@ def _profile_piecewise_linear(knots_t: np.ndarray, knots_w: np.ndarray,
     return RadialProfile(
         name=name,
         t_start=float(t[0]),
-        bounded=True,
         _fn=lambda x: np.interp(x, t, w),
         _grad_sq=grad_sq,
     )
@@ -325,9 +313,9 @@ def obstacle_values_at(config: RingConfig, t) -> tuple[np.ndarray, np.ndarray]:
 
 def verify_vi_solution_property(
     config: RingConfig,
-    K: int = 2_000,
-    samples: int = 50,
-    seed: int = 0,
+    K: int,
+    samples: int,
+    seed: int,
 ) -> dict:
     """Pairing against z - state for sampled feasible radial z stays >= -1e-10.
 
@@ -347,22 +335,16 @@ def verify_vi_solution_property(
         return float((coeff * ((z_lo - y_lo) - (z_up - y_up))).sum())
 
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    cases = [
-        ("state", np.full_like(t_lo, y_lo), np.full_like(t_up, y_up)),
-        ("clamp", np.clip(np.full_like(t_lo, y_lo), -0.5, 0.5),
-         np.clip(np.full_like(t_up, y_up), -0.5, 0.5)),
-    ]
+    values = {
+        "state": pairing(np.full_like(t_lo, y_lo), np.full_like(t_up, y_up)),
+        "clamp": pairing(np.clip(np.full_like(t_lo, y_lo), -0.5, 0.5),
+                         np.clip(np.full_like(t_up, y_up), -0.5, 0.5)),
+    }
     for i in range(samples):
         z_lo = rng.uniform(psi_lo, phi_lo)
         z_up = rng.uniform(psi_up, phi_up)
-        cases.append((f"sample_{i}", z_lo, z_up))
-    values = {}
-    for name, z_lo, z_up in cases:
-        val = pairing(z_lo, z_up)
-        worst = min(worst, val)
-        if name in ("state", "clamp"):
-            values[name] = val
+        values[f"sample_{i}"] = pairing(z_lo, z_up)
+    worst = min(values.values())
     return {
         "K": int(K),
         "samples": samples,
@@ -376,9 +358,8 @@ def verify_vi_solution_property(
 def growth_constant(config: RingConfig) -> float | None:
     """Asymptotic slope of the unbounded-w one-sided sums against ln K.
 
-    Only the balanced case (terms ~ c/k) grows logarithmically; that needs
-    omega_exponent + (1/beta - 1)/2 - 1/beta... reduced: exponent of k in the
-    terms equals 1 - omega_exponent - (1/beta - 1)/2; logarithmic iff it is -1.
+    The terms decay like k^-d with d = omega_exponent + (1/beta - 1)/2 - 1,
+    and only the balanced case d = 1 (terms ~ c/k) grows logarithmically.
     Returns the constant for that case, None otherwise.
     """
     decay = config.omega_exponent + (config.p - 1.0) / 2.0 - 1.0
@@ -396,14 +377,16 @@ def lower_bound_terms(config: RingConfig, k: np.ndarray) -> np.ndarray:
     return config.omega(k) * TWO_PI * w_up / np.sqrt(gap_hi)
 
 
-def series_study(config: RingConfig, K_max: int = 100_000,
-                 tail_from: int = 10_000) -> dict:
+def series_study(config: RingConfig, K_max: int, tail_from: int) -> dict:
     """Headline computation: bounded vs unbounded one-sided partial sums.
 
     Returns per-ring data (decimated for reporting), the Cauchy diagnostics of
     the bounded case, the divergence diagnostics of the unbounded case, and
-    the H^-1 bound checks for both shipped profiles.
+    the H^-1 bound checks for both shipped profiles. The growth fit samples
+    ln K from K = 100 up, so K_max must exceed 100.
     """
+    if K_max <= 100:
+        raise InvalidSpec(f"series study needs K_max > 100, got {K_max}")
     ramp = profile_ramp(config)
     log_power = profile_log_power(config)
     sums_ramp = pair_with_radial(config, ramp, K_max)
@@ -451,7 +434,7 @@ def series_study(config: RingConfig, K_max: int = 100_000,
         }
 
     report_rows = np.unique(np.concatenate([
-        np.arange(1, min(101, K_max + 1)),
+        np.arange(1, 101),
         np.geomspace(1, K_max, 400).astype(int),
     ]))
     lb_partial = np.cumsum(lower_bound_terms(config, k.astype(float)))

@@ -76,15 +76,11 @@ def _coordinate_columns(grid: Grid) -> tuple[list[str], np.ndarray]:
     return names, grid.coordinates()
 
 
-def write_solution_csv(path, solution: BopSolution,
-                       partition: SetPartition | None = None) -> Path:
+def write_solution_csv(path, solution: BopSolution, partition: SetPartition) -> Path:
     """Columns: node, x[, y_coord], y, xi, flag (lower/upper/inactive)."""
     grid = solution.problem.grid
     names, coords = _coordinate_columns(grid)
-    if partition is None:
-        flags = ["?"] * grid.total
-    else:
-        flags = node_flags(partition)
+    flags = node_flags(partition)
     rows = (
         [i, *coords[i], solution.y.values[i], solution.xi.values[i], flags[i]]
         for i in range(grid.total)

@@ -51,7 +51,6 @@ class Subgradient:
     g: GridFunction
     q: GridFunction
     D_used: np.ndarray
-    side: str
 
 
 def objective(cp: ControlProblem, solution: BopSolution) -> float:
@@ -64,7 +63,7 @@ def adjoint_subgradient(
     cp: ControlProblem,
     solution: BopSolution,
     partition: SetPartition,
-    side: str = "lower",
+    side: str,
 ) -> Subgradient:
     """Subgradient of J at solution.u from the side's reduced adjoint system."""
     D = domain_for_side(partition, side)
@@ -74,9 +73,7 @@ def adjoint_subgradient(
     q = reduced_linear_solve(problem.operator, j_y, D, adjoint=True)
     fprime = control_derivative_matrix(problem.control, u)
     g = fprime.T @ q + cp.alpha * grid.mass * u.values
-    return Subgradient(
-        g=grid.function(g), q=grid.function(q), D_used=D, side=side
-    )
+    return Subgradient(g=grid.function(g), q=grid.function(q), D_used=D)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +87,8 @@ class DescentTrace:
 def descent_loop(
     cp: ControlProblem,
     u0: GridFunction,
-    steps: int = 50,
-    side: str = "lower",
+    steps: int,
+    side: str,
 ) -> DescentTrace:
     """Projected-free subgradient descent u <- u - s*g with Armijo backtracking.
 

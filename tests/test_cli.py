@@ -105,9 +105,29 @@ def test_flag_beats_config_beats_default(tmp_path):
     ["mosco", "--grid", "10", "--schedule", "backwards"],
     ["mosco", "--grid", "10", "--schedule", "8:2"],
     ["solve", "--grid", "1", "--dim", "1"],
+    ["counterexample", "--K", "50"],
+    ["counterexample", "--K", "100"],
+    ["solve", "--seed", "-1"],
+    ["control", "--seed", "-1"],
+    ["verify-all", "--seed", "-1"],
 ])
 def test_bad_settings_exit_with_code_two(tmp_path, argv, capsys):
     code, _ = _run(tmp_path, *argv)
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, config", [
+    ("solve", {"grid": "abc"}),
+    ("counterexample", {"K": "many"}),
+    ("derivative", {"side": "sideways"}),
+    ("mosco", {"side": "sideways"}),
+    ("control", {"side": "sideways"}),
+])
+def test_bad_config_values_exit_with_code_two(tmp_path, experiment, config, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _ = _run(tmp_path, experiment, "--config", str(path))
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
 

@@ -121,6 +121,6 @@ def test_control_validation():
 def test_grid_mismatch_rejected():
     grid = _grid()
     control = ControlOperator(grid, kind="identity")
-    other = Grid((3, 3)).zeros()
+    other = Grid((3, 3)).constant(0.0)
     with pytest.raises(GridMismatch):
         apply_control(control, other)

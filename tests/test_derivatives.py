@@ -122,7 +122,6 @@ def test_sides_differ_on_biactive_instances(biactive_setup):
     upper = generalized_derivative(sol, part, h, "upper")
     gap = np.abs(lower.eta.values - upper.eta.values).max()
     assert gap > 1e-4
-    assert lower.side == "lower" and upper.side == "upper"
     # lower side keeps the weak upper nodes, drops the weak lower nodes
     D_lower = domain_for_side(part, "lower")
     assert (D_lower[part.upper_weak]).all()
@@ -247,9 +246,11 @@ def test_mosco_perturbation_must_be_positive(biactive_setup):
     _, sol, part = biactive_setup
     h = _h(sol.problem.grid)
     with pytest.raises(InvalidD):
-        mosco_convergence_experiment(sol, part, h, e=sol.problem.grid.constant(0.0))
+        mosco_convergence_experiment(sol, part, h, side="lower", schedule=(2,),
+                                     e=sol.problem.grid.constant(0.0))
     with pytest.raises(InvalidD):
-        mosco_convergence_experiment(sol, part, h, side="sideways")
+        mosco_convergence_experiment(sol, part, h, side="sideways", schedule=(2,),
+                                     e=sol.problem.grid.constant(1.0))
 
 
 def test_sandwich_report_structure(biactive_setup):

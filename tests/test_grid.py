@@ -125,11 +125,6 @@ def test_grid_function_checks_shape():
     grid = Grid((3, 3))
     with pytest.raises(GridMismatch):
         GridFunction(grid, np.zeros(8))
-    f = grid.constant(2.0)
-    g = grid.function(np.arange(9.0))
-    assert f.dot(g) == pytest.approx(2.0 * np.arange(9.0).sum())
-    with pytest.raises(GridMismatch):
-        f.dot(Grid((2, 2)).zeros())
 
 
 def test_grid_function_immutable():

@@ -111,14 +111,10 @@ def test_write_csv_is_byte_deterministic(tmp_path):
 
 def test_solution_csv_flags(tmp_path):
     problem, sol = _solved_instance()
-    lines = write_solution_csv(
-        tmp_path / "plain.csv", sol).read_text().splitlines()
-    assert lines[0] == "node,x,y,xi,flag"
-    assert all(line.endswith(",?") for line in lines[1:])
-
     partition = classify_sets(sol)
     lines = write_solution_csv(
         tmp_path / "flagged.csv", sol, partition).read_text().splitlines()
+    assert lines[0] == "node,x,y,xi,flag"
     flags = {line.rsplit(",", 1)[1] for line in lines[1:]}
     assert flags <= {"lower", "upper", "inactive"}
     assert "lower" in flags and "upper" in flags

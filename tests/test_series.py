@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biobstacle import (
-    RadialProfile,
     RingConfig,
     check_gap_bounds,
     gap_bounds,
@@ -23,12 +22,7 @@ from biobstacle import (
     series_study,
     verify_vi_solution_property,
 )
-from biobstacle.errors import (
-    EvaluationDomain,
-    InvalidBeta,
-    InvalidSpec,
-    NoClosedFormGradient,
-)
+from biobstacle.errors import EvaluationDomain, InvalidBeta, InvalidSpec
 from biobstacle.radial_series import (
     _profile_piecewise_linear,
     bounded_tail_remainder,
@@ -104,7 +98,6 @@ def test_ring_index_starts_at_one():
 
 def test_state_profile_gradient_frozen():
     state = profile_state(CFG)
-    assert state.bounded
     assert state.grad_sq_integral() == pytest.approx(STATE_GRAD_SQ, rel=1e-10)
     assert state.h1_seminorm() == pytest.approx(
         math.sqrt(2.0 * math.pi * STATE_GRAD_SQ), rel=1e-12
@@ -133,7 +126,6 @@ def test_state_gradient_sandwich_by_direct_quadrature():
 
 def test_log_power_gradient_exact():
     prof = profile_log_power(CFG)
-    assert not prof.bounded
     # beta^2 t_b^(2 beta - 1) / (1 - 2 beta) collapses to 1/(3 pi) here
     assert prof.grad_sq_integral() == pytest.approx(
         1.0 / (3.0 * math.pi), rel=1e-14
@@ -150,8 +142,6 @@ def test_ramp_profile_geometry():
     )
     vals = ramp.values(np.array([tb, 0.5 * (tb + knee), knee, knee + 50.0]))
     np.testing.assert_allclose(vals, [0.0, 0.5, 1.0, 1.0], atol=1e-13)
-    with pytest.raises(EvaluationDomain):
-        profile_ramp(CFG, t_knee=tb)
 
 
 def test_profiles_refuse_points_outside_the_disk():
@@ -175,20 +165,6 @@ def test_piecewise_linear_profile():
         _profile_piecewise_linear([0.0], [1.0])
     with pytest.raises(InvalidSpec):
         _profile_piecewise_linear([0.0, 1.0], [0.0, 1.0, 2.0])
-
-
-def test_missing_closed_form_gradient_raises():
-    prof = RadialProfile(
-        name="adhoc",
-        t_start=0.0,
-        bounded=True,
-        _fn=lambda t: np.tanh(t),
-        _grad_sq=None,
-    )
-    with pytest.raises(NoClosedFormGradient):
-        prof.grad_sq_integral()
-    with pytest.raises(NoClosedFormGradient):
-        prof.h1_seminorm()
 
 
 def test_ring_sums_split_identity_and_ramp_telescoping():

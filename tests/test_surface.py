@@ -1,0 +1,94 @@
+"""Every public name in the package has a use outside tests.
+
+Walks the syntax trees of src/, demos/ and perfbench/. Each public
+top-level function and class of src/biobstacle, and each public method and
+property of those classes, must be used somewhere outside its own
+definition. A top-level name counts as used wherever it appears as a
+name or as an attribute (``problems.random_instance``). A member counts as
+used only as an attribute, and not where the attribute belongs to numpy or
+scipy: neither a lookup on one of their modules (``np.zeros``) nor a name
+that arrays and sparse matrices also carry (``matrix.diagonal()``), since
+the receiver's type cannot be read off the tree. Dataclass fields are
+results and are exempt. Imports are not uses.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import scipy.sparse as sp
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "biobstacle"
+SEARCHED = ("src", "demos", "perfbench")
+ARRAY_ATTRIBUTES = frozenset(dir(np.ndarray)) | frozenset(dir(sp.csr_matrix))
+
+
+def _trees() -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text())
+            for folder in SEARCHED for path in sorted((ROOT / folder).rglob("*.py"))}
+
+
+def _library_aliases(trees) -> set[str]:
+    """Names that numpy and scipy modules are bound to anywhere."""
+    aliases = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                aliases |= {a.asname or a.name.split(".")[0] for a in node.names
+                            if a.name.split(".")[0] in ("numpy", "scipy")}
+            elif isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.split(".")[0] in ("numpy", "scipy"):
+                aliases |= {a.asname or a.name for a in node.names}
+    return aliases
+
+
+def _root_name(node: ast.expr) -> str | None:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _uses(trees):
+    """(word uses, member uses) as lists of (name, path, line)."""
+    library = _library_aliases(trees)
+    words, members = [], []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                words.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                words.append((node.attr, path, node.lineno))
+                if (_root_name(node.value) not in library
+                        and node.attr not in ARRAY_ATTRIBUTES):
+                    members.append((node.attr, path, node.lineno))
+    return words, members
+
+
+def _public_definitions(trees):
+    """(qualified name, is member, path, first line, last line)."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            yield node.name, False, path, node.lineno, node.end_lineno
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) \
+                            and not member.name.startswith("_"):
+                        yield (f"{node.name}.{member.name}", True, path,
+                               member.lineno, member.end_lineno)
+
+
+def test_every_public_name_is_used_outside_tests():
+    trees = _trees()
+    words, members = _uses(trees)
+    unused = []
+    for name, is_member, path, first, last in _public_definitions(trees):
+        short = name.rsplit(".", 1)[-1]
+        pool = members if is_member else words
+        if not any(used == short and not (where == path and first <= line <= last)
+                   for used, where, line in pool):
+            unused.append(name)
+    assert unused == [], f"public names that only tests reach: {unused}"

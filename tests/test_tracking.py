@@ -56,7 +56,7 @@ def test_gradient_matches_dense_formula():
     sol = solve_bop(cp.bop, u)
     part = classify_sets(sol)
     assert part.counts()["inactive"] == grid.total
-    sub = adjoint_subgradient(cp, sol, part)
+    sub = adjoint_subgradient(cp, sol, part, side="lower")
     A = cp.bop.operator.matrix
     q = spla.spsolve(A.T.tocsc(), grid.mass * (sol.y.values - cp.y_target.values))
     expected = grid.mass * q + cp.alpha * grid.mass * u.values
@@ -113,7 +113,7 @@ def test_descent_strictly_decreases_objective():
     cp, rng = _unconstrained_cp(alpha=1e-2)
     grid = cp.bop.grid
     u0 = grid.function(rng.standard_normal(grid.total))
-    trace = descent_loop(cp, u0, steps=20)
+    trace = descent_loop(cp, u0, steps=20, side="lower")
     values = [row["objective"] for row in trace.rows]
     assert len(values) == 20
     assert trace.termination == "max_steps"
@@ -144,7 +144,7 @@ def test_descent_solves_once_per_objective_evaluation(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(tracking, name, counting(name))
-    trace = descent_loop(cp, u0, steps=6)
+    trace = descent_loop(cp, u0, steps=6, side="lower")
     accepted = sum(1 for row in trace.rows if row["step"] > 0.0)
     assert accepted == 6
     assert calls["objective"] > accepted
@@ -156,7 +156,7 @@ def test_descent_reaches_grad_tol_on_easy_problem(monkeypatch):
     grid = cp.bop.grid
     u0 = grid.function(0.01 * rng.standard_normal(grid.total))
     monkeypatch.setattr(tracking, "GRAD_TOL", 1e-12)
-    trace = descent_loop(cp, u0, steps=2000)
+    trace = descent_loop(cp, u0, steps=2000, side="lower")
     assert trace.termination == "grad_tol"
     final_grad = trace.rows[-1]["grad_norm"] if trace.rows else 0.0
     assert final_grad <= 1e-10 or trace.rows == []
