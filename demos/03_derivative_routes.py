@@ -15,17 +15,15 @@ from biobstacle import (
     gateaux_derivative_on_D,
     solve_bop,
 )
-from biobstacle.problems import mode_field, strict_instance, unit_grid
+from biobstacle.problems import derivative_instance, unit_grid
 
-inst = strict_instance(unit_grid(24, dim=2))
-problem, u = inst["problem"], inst["u"]
+inst = derivative_instance(unit_grid(24, dim=2))
+problem, u, h = inst["problem"], inst["u"], inst["h"]
 sol = solve_bop(problem, u)
 part = classify_sets(sol)
 
 print("weak contact nodes (must be 0 for strict complementarity):",
       int((part.lower_weak | part.upper_weak).sum()))
-
-h = mode_field(problem.grid, 50.0)
 
 # route 1: cone-constrained VI
 cone = directional_derivative(sol, part, h)

@@ -16,17 +16,15 @@ from biobstacle import (
     mosco_convergence_experiment,
     solve_bop,
 )
-from biobstacle.problems import biactive_instance, mode_field, unit_grid
+from biobstacle.problems import mosco_instance, unit_grid
 
-inst = biactive_instance(unit_grid(24, dim=2))
-problem, u = inst["problem"], inst["u"]
+inst = mosco_instance(unit_grid(24, dim=2))
+problem, u, h, e = inst["problem"], inst["u"], inst["h"], inst["e"]
 sol = solve_bop(problem, u)
 part = classify_sets(sol)
 print("weak lower nodes:", int(part.lower_weak.sum()),
       " weak upper nodes:", int(part.upper_weak.sum()))
 
-h = mode_field(problem.grid, 50.0)
-e = problem.grid.constant(5.0)
 schedule = (2, 4, 8, 16, 32, 64, 128)
 
 for side in ("lower", "upper"):

@@ -9,29 +9,20 @@ Armijo line search along its negative makes steady progress.
 import numpy as np
 
 from biobstacle import (
-    ControlProblem,
     adjoint_subgradient,
     classify_sets,
     descent_loop,
     objective,
     solve_bop,
 )
-from biobstacle.problems import smooth_field, strict_instance, unit_grid
-
-inst = strict_instance(unit_grid(20, dim=2))
-problem, u_star = inst["problem"], inst["u"]
-grid = problem.grid
+from biobstacle.problems import control_instance, perturbed_control, unit_grid
 
 rng = np.random.default_rng(5)
-y_amp = float(np.abs(inst["y_star"].values).max())
-y_target = grid.function(
-    inst["y_star"].values - smooth_field(grid, rng, amplitude=10.0 * y_amp).values
-)
-cp = ControlProblem(bop=problem, y_target=y_target, alpha=1e-10)
-
-u0 = grid.function(u_star.values + smooth_field(grid, rng, amplitude=0.1).values)
+inst = control_instance(unit_grid(20, dim=2), rng)
+cp = inst["control_problem"]
+u0 = perturbed_control(inst, rng)
 # the objective and its subgradient are read off one solve at u0
-sol0 = solve_bop(problem, u0)
+sol0 = solve_bop(cp.bop, u0)
 print("objective at the start:", objective(cp, sol0))
 
 sub = adjoint_subgradient(cp, sol0, classify_sets(sol0), side="lower")

@@ -30,10 +30,9 @@ from .errors import (
     GridMismatch,
     InvalidBeta,
     InvalidSpec,
-    UnsupportedControlKind,
 )
 from .multipliers import classify_sets
-from .obstacle import solve_bop, solution_residual
+from .obstacle import SOLVER_DEFAULTS, solve_bop, solution_residual
 from .radial_series import RingConfig, series_study
 from .reporting import (
     write_derivative_csv,
@@ -46,8 +45,26 @@ from .reporting import (
 from .tracking import descent_loop
 from .verify import run_acceptance
 
-CONFIG_ERRORS = (ConfigError, InvalidBeta, InvalidSpec, GridMismatch,
-                 UnsupportedControlKind)
+CONFIG_ERRORS = (ConfigError, InvalidBeta, InvalidSpec, GridMismatch)
+
+# every setting's default, which also fixes its type
+DEFAULTS = {"seed": 0, "grid": 32, "dim": 2, "method": "pdas", "side": "lower",
+            "amplitude": 50.0, "schedule": "2:256", "steps": 50,
+            "beta": 1.0 / 3.0, "omega_exponent": 1.0, "K": 100_000}
+# experiment -> {setting: default}; every experiment takes the seed
+SETTINGS = {
+    experiment: {key: DEFAULTS[key] for key in ("seed", *keys)}
+    for experiment, keys in (
+        ("solve", ("grid", "dim", "method")),
+        ("derivative", ("grid", "side", "amplitude")),
+        ("mosco", ("grid", "side", "schedule")),
+        ("control", ("grid", "side", "steps")),
+        ("counterexample", ("beta", "omega_exponent", "K")),
+        ("verify-all", ()),
+    )
+}
+CHOICES = {"dim": (1, 2), "method": tuple(SOLVER_DEFAULTS), "side": SIDES}
+LEAST = {"seed": 0, "grid": 2}
 
 
 def _load_config(path: str | None) -> dict:
@@ -66,31 +83,37 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _setting(args: argparse.Namespace, config: dict, key: str, default):
-    """Flag beats config file beats default, converted to the default's type;
-    flags use dashes, configs keys."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is None:
-        value = config.get(key, default)
-    try:
-        return type(default)(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be of type {type(default).__name__}, got {value!r}")
+def _settings(args: argparse.Namespace) -> dict:
+    """Every setting of the experiment: flag beats config file beats default.
+
+    A config value must already have its default's type (an int stands in
+    for a float, a bool never for an int); flags are typed by argparse.
+    """
+    defaults = SETTINGS[args.experiment]
+    config = _load_config(args.config)
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise ConfigError(f"{args.experiment} takes no setting {', '.join(unknown)}")
+    settings = {}
+    for key, default in defaults.items():
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key, default)
+        kind = type(default)
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if kind is float else kind):
+            raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
+        value = kind(value)
+        if key in CHOICES and value not in CHOICES[key]:
+            raise ConfigError(f"{key} must be one of {CHOICES[key]}, got {value!r}")
+        if key in LEAST and value < LEAST[key]:
+            raise ConfigError(f"{key} must be at least {LEAST[key]}, got {value}")
+        settings[key] = value
+    return settings
 
 
-def _seed(args, config) -> int:
-    seed = _setting(args, config, "seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    return seed
-
-
-def _side(args, config) -> str:
-    # the --side flag is limited to SIDES by argparse; a config value is not
-    side = _setting(args, config, "side", "lower")
-    if side not in SIDES:
-        raise ConfigError(f"side must be one of {SIDES}, got {side!r}")
-    return side
+def _parameters(settings: dict) -> dict:
+    return {key: value for key, value in settings.items() if key != "seed"}
 
 
 def _parse_schedule(text: str) -> tuple[int, ...]:
@@ -110,31 +133,20 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
     return tuple(steps)
 
 
-def _grid_size(args, config) -> int:
-    n = _setting(args, config, "grid", 32)
-    if n < 2:
-        raise ConfigError(f"grid must have at least 2 nodes per axis, got {n}")
-    return n
-
-
 def run_solve(args) -> dict:
-    config = _load_config(args.config)
-    seed = _seed(args, config)
-    n = _grid_size(args, config)
-    dim = _setting(args, config, "dim", 2)
-    method = _setting(args, config, "method", "pdas")
-    if method not in ("psor", "pdas"):
-        raise ConfigError(f"method must be psor or pdas, got {method!r}")
-    rng = np.random.default_rng([seed, 101])
-    problem, u = problems.random_instance(problems.unit_grid(n, dim=dim), rng)
-    solution = solve_bop(problem, u, method=method)
+    """Solve one random instance, dump state and sets."""
+    s = _settings(args)
+    rng = np.random.default_rng([s["seed"], 101])
+    problem, u = problems.random_instance(
+        problems.unit_grid(s["grid"], dim=s["dim"]), rng)
+    solution = solve_bop(problem, u, method=s["method"])
     partition = classify_sets(solution)
     out = Path(args.out)
     write_solution_csv(out / "solve_solution.csv", solution, partition)
     report = {
         "experiment": "solve",
-        "seed": seed,
-        "parameters": {"grid": n, "dim": dim, "method": method},
+        "seed": s["seed"],
+        "parameters": _parameters(s),
         "iterations": solution.iterations,
         "residual_norm": solution.residual_norm,
         "natural_residual": solution_residual(solution),
@@ -145,17 +157,15 @@ def run_solve(args) -> dict:
 
 
 def run_derivative(args) -> dict:
-    config = _load_config(args.config)
-    seed = _seed(args, config)
-    n = _grid_size(args, config)
-    side = _side(args, config)
-    amplitude = _setting(args, config, "amplitude", 50.0)
-    inst = problems.derivative_instance(problems.unit_grid(n, dim=2), amplitude)
+    """Derivative routes on the strict-contact instance."""
+    s = _settings(args)
+    inst = problems.derivative_instance(problems.unit_grid(s["grid"], dim=2),
+                                        s["amplitude"])
     problem, u, h = inst["problem"], inst["u"], inst["h"]
     solution = solve_bop(problem, u)
     partition = classify_sets(solution)
     cone = directional_derivative(solution, partition, h)
-    reduced = generalized_derivative(solution, partition, h, side)
+    reduced = generalized_derivative(solution, partition, h, s["side"])
     inactive = gateaux_derivative_on_D(solution, partition, h)
     agreement = float(np.abs(cone.eta.values - inactive.eta.values).max())
     out = Path(args.out)
@@ -163,8 +173,8 @@ def run_derivative(args) -> dict:
                          reduced.eta.values, reduced.D_used)
     report = {
         "experiment": "derivative",
-        "seed": seed,
-        "parameters": {"grid": n, "side": side, "amplitude": amplitude},
+        "seed": s["seed"],
+        "parameters": _parameters(s),
         "cone_vs_reduced_agreement": agreement,
         "dim_D": int(reduced.D_used.sum()),
         "set_counts": partition.counts(),
@@ -178,26 +188,25 @@ def run_derivative(args) -> dict:
 
 
 def run_mosco(args) -> dict:
-    config = _load_config(args.config)
-    seed = _seed(args, config)
-    n = _grid_size(args, config)
-    side = _side(args, config)
-    schedule = _parse_schedule(_setting(args, config, "schedule", "2:256"))
-    inst = problems.mosco_instance(problems.unit_grid(n, dim=2))
+    """One-sided derivative convergence experiment."""
+    s = _settings(args)
+    schedule = _parse_schedule(s["schedule"])
+    inst = problems.mosco_instance(problems.unit_grid(s["grid"], dim=2))
     solution = solve_bop(inst["problem"], inst["u"])
     partition = classify_sets(solution)
-    result = mosco_convergence_experiment(solution, partition, inst["h"], side=side,
-                                          schedule=schedule, e=inst["e"])
+    result = mosco_convergence_experiment(solution, partition, inst["h"],
+                                          side=s["side"], schedule=schedule,
+                                          e=inst["e"])
     out = Path(args.out)
     write_mosco_csv(out / "mosco_errors.csv", result["steps"])
     report = {
         "experiment": "mosco",
-        "seed": seed,
-        "parameters": {"grid": n, "side": side, "schedule": list(schedule)},
+        "seed": s["seed"],
+        "parameters": {**_parameters(s), "schedule": list(schedule)},
         "final_error": result["final_error"],
         "errors_nonincreasing_tail": result["errors_nonincreasing_tail"],
         "dim_D_limit": result["dim_D_limit"],
-        "errors": [s["error"] for s in result["steps"]],
+        "errors": [step["error"] for step in result["steps"]],
     }
     write_json(out / "mosco_report.json", report)
     if not result["errors_nonincreasing_tail"]:
@@ -206,23 +215,21 @@ def run_mosco(args) -> dict:
 
 
 def run_control(args) -> dict:
-    config = _load_config(args.config)
-    seed = _seed(args, config)
-    n = _grid_size(args, config)
-    side = _side(args, config)
-    steps = _setting(args, config, "steps", 50)
-    rng = np.random.default_rng([seed, 108])
-    inst = problems.control_instance(problems.unit_grid(n, dim=2), rng)
+    """Subgradient descent on the tracking objective."""
+    s = _settings(args)
+    rng = np.random.default_rng([s["seed"], 108])
+    inst = problems.control_instance(problems.unit_grid(s["grid"], dim=2), rng)
     u0 = problems.perturbed_control(inst, rng)
-    trace = descent_loop(inst["control_problem"], u0, steps=steps, side=side)
+    trace = descent_loop(inst["control_problem"], u0, steps=s["steps"],
+                         side=s["side"])
     out = Path(args.out)
     write_descent_csv(out / "control_trace.csv", trace.rows)
     objectives = [row["objective"] for row in trace.rows]
     strictly_decreasing = all(b < a for a, b in zip(objectives, objectives[1:]))
     report = {
         "experiment": "control",
-        "seed": seed,
-        "parameters": {"grid": n, "side": side, "steps": steps},
+        "seed": s["seed"],
+        "parameters": _parameters(s),
         "initial_objective": objectives[0] if objectives else None,
         "final_objective": objectives[-1] if objectives else None,
         "strictly_decreasing": strictly_decreasing,
@@ -236,17 +243,15 @@ def run_control(args) -> dict:
 
 
 def run_counterexample(args) -> dict:
-    config = _load_config(args.config)
-    beta = _setting(args, config, "beta", 1.0 / 3.0)
-    omega_exponent = _setting(args, config, "omega_exponent", 1.0)
-    k_max = _setting(args, config, "K", 100_000)
-    ring_config = RingConfig(beta=beta, omega_exponent=omega_exponent)
-    study = series_study(ring_config, K_max=k_max, tail_from=min(10_000, k_max))
+    """Ring-series partial sums and bounds."""
+    s = _settings(args)
+    ring_config = RingConfig(beta=s["beta"], omega_exponent=s["omega_exponent"])
+    study = series_study(ring_config, K_max=s["K"], tail_from=min(10_000, s["K"]))
     out = Path(args.out)
     write_series_csv(out / "counterexample_series.csv", study["rows"])
     report = {
         "experiment": "counterexample",
-        "parameters": {"beta": beta, "omega_exponent": omega_exponent, "K": k_max},
+        "parameters": _parameters(s),
         "bounded": study["bounded"],
         "unbounded": study["unbounded"],
         "h1_checks": study["h1_checks"],
@@ -260,9 +265,8 @@ def run_counterexample(args) -> dict:
 
 
 def run_verify_all(args) -> dict:
-    config = _load_config(args.config)
-    seed = _seed(args, config)
-    report = run_acceptance(seed)
+    """Run every verification suite and write the report."""
+    report = run_acceptance(_settings(args)["seed"])
     write_json(Path(args.out) / "verify_report.json", report)
     if not report["all_passed"]:
         failed = [c["name"] for c in report["criteria"] if not c["passed"]]
@@ -285,44 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="biobstacle",
         description="Bilateral obstacle problem experiments",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--out", default="reports", help="output directory")
-    common.add_argument("--seed", type=int, help="PRNG seed (default 0)")
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    p = sub.add_parser("solve", parents=[common],
-                       help="solve one random instance, dump state and sets")
-    p.add_argument("--grid", type=int, help="nodes per axis (default 32)")
-    p.add_argument("--dim", type=int, choices=(1, 2))
-    p.add_argument("--method", choices=("psor", "pdas"))
-
-    p = sub.add_parser("derivative", parents=[common],
-                       help="derivative routes on the strict-contact instance")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--side", choices=("lower", "upper"))
-    p.add_argument("--amplitude", type=float)
-
-    p = sub.add_parser("mosco", parents=[common],
-                       help="one-sided derivative convergence experiment")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--side", choices=("lower", "upper"))
-    p.add_argument("--schedule", help="doubling schedule a:b (default 2:256)")
-
-    p = sub.add_parser("control", parents=[common],
-                       help="subgradient descent on the tracking objective")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--side", choices=("lower", "upper"))
-    p.add_argument("--steps", type=int)
-
-    p = sub.add_parser("counterexample", parents=[common],
-                       help="ring-series partial sums and bounds")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--omega-exponent", type=float, dest="omega_exponent")
-    p.add_argument("--K", type=int, dest="K")
-
-    sub.add_parser("verify-all", parents=[common],
-                   help="run every verification suite and write the report")
+    for experiment, runner in RUNNERS.items():
+        p = sub.add_parser(experiment, help=runner.__doc__)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--out", default="reports", help="output directory")
+        for key, default in SETTINGS[experiment].items():
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                           type=type(default), choices=CHOICES.get(key),
+                           help=f"default {default}")
     return parser
 
 

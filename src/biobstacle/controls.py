@@ -1,7 +1,7 @@
 """Monotone control-to-load maps f.
 
 Every kind maps nodal control values to a load vector (functional) and is
-nodewise increasing. The mass weight prod(h) sits here so that
+nodewise increasing and odd. The mass weight prod(h) sits here so that
 f(u) . z approximates the integral of f(u)*z.
 """
 
@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from .errors import GridMismatch, InvalidSpec
 from .grid import Grid, GridFunction, require_same_grid
 
-CONTROL_KINDS = ("identity", "affine_monotone", "smooth_monotone_superposition")
+CONTROL_KINDS = ("identity", "smooth_monotone_superposition")
 
 
 def _id_plus_arctan(t):
@@ -43,62 +43,34 @@ PROFILES = {
 
 @dataclass(frozen=True, eq=False)
 class ControlOperator:
-    """Increasing map from controls to load vectors.
+    """Increasing map from controls to load vectors; both kinds are odd.
 
     identity:                      f(u) = mass * u
-    affine_monotone:               f(u) = mass * (W u + offset), W >= 0 entrywise
     smooth_monotone_superposition: f(u) = mass * profile(u) nodewise
     """
 
     grid: Grid
     kind: str = "identity"
-    weight: object = None          # scalar or (N,N) nonnegative array/sparse
-    offset: object = 0.0           # scalar or (N,) array
     profile: str = "id_plus_arctan"
 
     def __post_init__(self):
         if self.kind not in CONTROL_KINDS:
             raise InvalidSpec(f"unknown control kind {self.kind!r}")
-        if self.kind == "affine_monotone":
-            w = self.weight if self.weight is not None else 1.0
-            if np.isscalar(w):
-                if w < 0:
-                    raise InvalidSpec("affine weight must be nonnegative")
-            else:
-                w = sp.csr_matrix(w)
-                if w.shape != (self.grid.total,) * 2:
-                    raise InvalidSpec(f"affine kernel shape {w.shape} does not fit grid")
-                if w.nnz and w.data.min() < 0:
-                    raise InvalidSpec("affine kernel must be nonnegative entrywise")
-            object.__setattr__(self, "weight", w)
-            off = np.asarray(self.offset, dtype=float)
-            if off.ndim == 0:
-                off = np.full(self.grid.total, float(off))
-            if off.shape != (self.grid.total,):
-                raise InvalidSpec(f"affine offset shape {off.shape} does not fit grid")
-            off.setflags(write=False)
-            object.__setattr__(self, "offset", off)
-        elif self.kind == "smooth_monotone_superposition":
-            if self.profile not in PROFILES:
-                raise InvalidSpec(f"unknown profile {self.profile!r}")
+        if self.kind == "smooth_monotone_superposition" and self.profile not in PROFILES:
+            raise InvalidSpec(f"unknown profile {self.profile!r}")
 
     def _image(self, u: np.ndarray) -> np.ndarray:
         if self.kind == "identity":
             return u.copy()
-        if self.kind == "affine_monotone":
-            wu = self.weight * u if np.isscalar(self.weight) else self.weight @ u
-            return wu + self.offset
         g, _ = PROFILES[self.profile]
         return g(u)
 
-    def _slope(self, u: np.ndarray) -> np.ndarray | None:
-        """Nodewise derivative for the diagonal kinds; None for affine kernels."""
+    def _slope(self, u: np.ndarray) -> np.ndarray:
+        """Nodewise derivative of the map before the mass weight."""
         if self.kind == "identity":
             return np.ones_like(u)
-        if self.kind == "smooth_monotone_superposition":
-            _, gp = PROFILES[self.profile]
-            return gp(u)
-        return None
+        _, gp = PROFILES[self.profile]
+        return gp(u)
 
 
 def apply_control(control: ControlOperator, u: GridFunction) -> GridFunction:
@@ -120,11 +92,4 @@ def control_derivative_matrix(control: ControlOperator, u: GridFunction) -> sp.c
     """Sparse matrix of h -> f'(u) h, used by adjoint computations."""
     if u.grid != control.grid:
         raise GridMismatch("control and argument live on different grids")
-    mass = control.grid.mass
-    slope = control._slope(u.values)
-    if slope is not None:
-        return sp.diags(mass * slope).tocsr()
-    w = control.weight
-    if np.isscalar(w):
-        return sp.identity(control.grid.total, format="csr") * (mass * w)
-    return (mass * w).tocsr()
+    return sp.diags(control.grid.mass * control._slope(u.values)).tocsr()

@@ -17,10 +17,6 @@ class InfeasibleObstacles(BiobstacleError):
     """Obstacle pair has no positive separation (or too little for the solver)."""
 
 
-class UnsupportedControlKind(BiobstacleError):
-    """Operation requires a control kind it does not support."""
-
-
 class ComplementarityViolated(BiobstacleError):
     """A claimed solution fails the complementarity conditions."""
 

@@ -189,7 +189,7 @@ def verify_strict_set_monotonicity(
 
     Expected: lower active and strictly lower active sets shrink as the
     control grows; upper ones grow. Returns per-inclusion violation counts.
-    When the control kind allows it, the upper-side inclusions are re-derived
+    For the identity control the upper-side inclusions are also re-derived
     through the reflected problem, which maps them back to lower-side ones.
     """
     if (u_hi.values < u_lo.values).any():
@@ -212,6 +212,8 @@ def verify_strict_set_monotonicity(
         report["reflection_swap_mismatches"] = swaps
         report["ok"] = report["ok"] and swaps == 0
     else:
-        # reflection only commutes with odd control maps; record, don't fail
+        # every control map is odd, so reflection would hold here too; it is
+        # kept to identity draws because it costs two more solves per pair,
+        # which verify-all's criterion 2 would pay on every other draw
         report["reflection_skipped_kind"] = problem.control.kind
     return report

@@ -24,7 +24,6 @@ from .errors import (
     GridMismatch,
     InfeasibleObstacles,
     NoConvergence,
-    UnsupportedControlKind,
 )
 from .grid import (
     AssembledOperator,
@@ -408,14 +407,10 @@ def solve_bop_with_obstacles(
 def reflect_problem(problem: BopProblem) -> BopProblem:
     """Mirror problem: obstacles (-phi, -psi), same operator.
 
-    Solving the reflected problem at control -u gives exactly -y, with the
-    roles of the two obstacles (and their active sets) exchanged. Only the
-    identity control commutes with negation, so other kinds are refused.
+    Every control map is odd (f(-u) = -f(u), bit for bit), so solving the
+    reflected problem at control -u gives exactly -y, with the roles of the
+    two obstacles (and their active sets) exchanged.
     """
-    if problem.control.kind != "identity":
-        raise UnsupportedControlKind(
-            f"reflection needs an odd control map; kind={problem.control.kind!r}"
-        )
     return BopProblem(
         operator=problem.operator,
         control=problem.control,

@@ -59,7 +59,7 @@ def mode_field(grid: Grid, amplitude: float) -> GridFunction:
 
 
 def random_operator(grid: Grid, rng: np.random.Generator,
-                    kinds: Iterable[str] = OPERATOR_KINDS) -> OperatorSpec:
+                    kinds: Iterable[str]) -> OperatorSpec:
     kind = str(rng.choice(list(kinds)))
     if kind == "laplacian":
         return OperatorSpec(kind="laplacian")
@@ -71,17 +71,12 @@ def random_operator(grid: Grid, rng: np.random.Generator,
 
 
 def random_control(grid: Grid, rng: np.random.Generator,
-                   kinds: Iterable[str] = ("identity", "smooth_monotone_superposition", "affine_monotone"),
-                   ) -> ControlOperator:
-    kind = rng.choice(list(kinds))
-    if kind == "identity":
-        return ControlOperator(grid, kind="identity")
-    if kind == "smooth_monotone_superposition":
-        profile = rng.choice(sorted(PROFILES))
-        return ControlOperator(grid, kind="smooth_monotone_superposition", profile=str(profile))
-    weight = float(rng.uniform(0.2, 2.0))
-    offset = smooth_field(grid, rng, amplitude=0.3).values
-    return ControlOperator(grid, kind="affine_monotone", weight=weight, offset=offset)
+                   kinds: Iterable[str]) -> ControlOperator:
+    kind = str(rng.choice(list(kinds)))
+    if kind != "smooth_monotone_superposition":
+        return ControlOperator(grid, kind=kind)
+    profile = str(rng.choice(sorted(PROFILES)))
+    return ControlOperator(grid, kind=kind, profile=profile)
 
 
 def random_instance(grid: Grid, rng: np.random.Generator,

@@ -38,7 +38,7 @@ GRAD_TOL = 0.0      # stop once the subgradient norm is at most this
 class ControlProblem:
     bop: BopProblem
     y_target: GridFunction
-    alpha: float = 1e-4
+    alpha: float
 
     def __post_init__(self):
         require_same_grid(self.bop.operator, self.y_target)

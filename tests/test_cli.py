@@ -1,11 +1,14 @@
 """Command-line interface: artifacts, config precedence, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from biobstacle import cli
 from biobstacle.errors import AssertionFailure, ConfigError, NoConvergence
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(tmp_path, *argv):
@@ -110,6 +113,7 @@ def test_flag_beats_config_beats_default(tmp_path):
     ["solve", "--seed", "-1"],
     ["control", "--seed", "-1"],
     ["verify-all", "--seed", "-1"],
+    ["counterexample", "--seed", "-1"],
 ])
 def test_bad_settings_exit_with_code_two(tmp_path, argv, capsys):
     code, _ = _run(tmp_path, *argv)
@@ -123,6 +127,9 @@ def test_bad_settings_exit_with_code_two(tmp_path, argv, capsys):
     ("derivative", {"side": "sideways"}),
     ("mosco", {"side": "sideways"}),
     ("control", {"side": "sideways"}),
+    ("solve", {"gird": 6}),
+    ("solve", {"grid": 6.9}),
+    ("solve", {"seed": True}),
 ])
 def test_bad_config_values_exit_with_code_two(tmp_path, experiment, config, capsys):
     path = tmp_path / "config.json"
@@ -130,6 +137,17 @@ def test_bad_config_values_exit_with_code_two(tmp_path, experiment, config, caps
     code, _ = _run(tmp_path, experiment, "--config", str(path))
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", sorted(cli.SETTINGS))
+def test_committed_configs_resolve(experiment):
+    name = "verify" if experiment == "verify-all" else experiment
+    config = ROOT / "configs" / f"{name}.json"
+    args = cli.build_parser().parse_args([experiment, "--config", str(config)])
+    settings = cli._settings(args)
+    assert settings.keys() == cli.SETTINGS[experiment].keys()
+    values = json.loads(config.read_text())
+    assert {key: settings[key] for key in values} == values
 
 
 def test_bad_config_files_exit_with_code_two(tmp_path, capsys):

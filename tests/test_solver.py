@@ -30,19 +30,19 @@ from biobstacle.errors import (
     InfeasibleObstacles,
     InvalidSpec,
     NoConvergence,
-    UnsupportedControlKind,
 )
 from biobstacle.grid import OPERATOR_KINDS, _coercivity_constant, natural_scale
 from biobstacle.multipliers import classify_sets, node_flags
 from biobstacle.obstacle import COARSE_MIN, _pdas_bounds, natural_residual
 from biobstacle.problems import (
     monotone_control_pair,
+    random_control,
     random_instance,
     random_operator,
     unit_grid,
 )
 
-CONTROL_KINDS = ("identity", "smooth_monotone_superposition", "affine_monotone")
+CONTROL_KINDS = ("identity", "smooth_monotone_superposition")
 
 
 def _box_problem(n=5, lo=-0.002, hi=0.002, kind="identity"):
@@ -144,6 +144,15 @@ def test_random_operator_kind_is_plain_str():
             assert type(spec.kind) is str
 
 
+def test_random_control_builds_the_drawn_kind():
+    rng = np.random.default_rng(0)
+    for kind in CONTROL_KINDS:
+        control = random_control(unit_grid(6, dim=2), rng, kinds=(kind,))
+        assert type(control.kind) is str and control.kind == kind
+    with pytest.raises(InvalidSpec):
+        random_control(unit_grid(6, dim=2), rng, kinds=("affine_monotone",))
+
+
 def test_enumeration_certifies_complementarity():
     # odd ramp load: two nodes pinned low, two pinned high, two free
     problem = _box_problem(n=6)
@@ -228,7 +237,6 @@ def test_seeded_cycle_restarts_cold(caplog, monkeypatch):
     ("laplacian", "identity"),
     ("laplacian_plus_reaction", "smooth_monotone_superposition"),
     ("laplacian_plus_convection", "identity"),
-    ("laplacian", "affine_monotone"),
 ])
 def test_seeded_pdas_matches_cold(caplog, n, operator_kind, control_kind):
     """From 2*COARSE_MIN nodes per axis PDAS starts from the half-size
@@ -343,23 +351,15 @@ def test_raising_lower_obstacle_raises_state():
     assert (y_lifted >= lifted - 1e-10).all()
 
 
-def test_reflection_is_bitwise_negation():
+@pytest.mark.parametrize("control_kind", CONTROL_KINDS)
+def test_reflection_is_bitwise_negation(control_kind):
     rng = np.random.default_rng(17)
     grid = unit_grid(9, dim=2)
-    problem, u = random_instance(grid, rng, control_kinds=("identity",))
+    problem, u = random_instance(grid, rng, control_kinds=(control_kind,))
     sol = solve_bop(problem, u)
     mirrored = reflect_problem(problem)
     sol_m = solve_bop(mirrored, u.with_values(-u.values))
     assert (sol_m.y.values == -sol.y.values).all()
-
-
-def test_reflection_refuses_nonodd_controls():
-    rng = np.random.default_rng(19)
-    problem, _ = random_instance(
-        unit_grid(6, dim=2), rng, control_kinds=("smooth_monotone_superposition",)
-    )
-    with pytest.raises(UnsupportedControlKind):
-        reflect_problem(problem)
 
 
 def test_obstacle_pair_validation():
