@@ -129,10 +129,11 @@ def mosco_convergence_experiment(
 
     The limit point is the given solution at u and its partition.
     u_n = u - e/n for side="lower" (approach from below), u_n = u + e/n for
-    side="upper". For each n the instance is re-solved, re-classified, and the
-    reduced derivative on that instance's one-sided domain is compared with
-    the limit derivative. Reports the error decay and, per step, the set
-    inclusions between u_n and u as a control-ordered pair.
+    side="upper". For each n the instance is re-solved from the nearby limit
+    point (solve_bop's near), re-classified, and the reduced derivative on
+    that instance's one-sided domain is compared with the limit derivative.
+    Reports the error decay and, per step, the set inclusions between u_n
+    and u as a control-ordered pair.
     """
     problem, u = solution.problem, solution.u
     if (e.values <= 0).any():
@@ -144,7 +145,8 @@ def mosco_convergence_experiment(
 
     steps = []
     for n in schedule:
-        sol_n = solve_bop(problem, u.with_values(u.values + sign * e.values / n))
+        sol_n = solve_bop(problem, u.with_values(u.values + sign * e.values / n),
+                          near=solution)
         part_n = classify_sets(sol_n)
         result_n = generalized_derivative(sol_n, part_n, h, side)
         pair = (partition, part_n) if side == "lower" else (part_n, partition)

@@ -252,14 +252,6 @@ def _check_two_coloring(matrix: sp.spmatrix, grid: Grid) -> None:
         raise InvalidSpec("stencil couples same-color nodes; not a 5-point stencil")
 
 
-def _coercivity_constant(op: AssembledOperator) -> float:
-    """Smallest eigenvalue of the symmetric part (dense; small grids only)."""
-    if op.grid.total > 4096:
-        raise InvalidSpec("coercivity check is a dense computation; grid too large")
-    sym = 0.5 * (op.matrix + op.adjoint_matrix).toarray()
-    return float(np.linalg.eigvalsh(sym)[0])
-
-
 def _axis_interpolation(src_n: int, dst_n: int, extent: tuple[float, float]) -> sp.csr_matrix:
     """Linear interpolation from src_n interior nodes to dst_n interior nodes
     of one axis, with the Dirichlet ends held at zero."""

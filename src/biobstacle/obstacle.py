@@ -215,7 +215,7 @@ def _pdas_bounds(
     The set iteration can cycle when the obstacles nearly touch and nodes
     flip between the two bounds. A repeated set signature is detected. From
     a start, the iteration gives up and returns x = None, so that the caller
-    restarts cold. From empty sets the iterate is handed to projected
+    tries its next start. From empty sets the iterate is handed to projected
     Gauss-Seidel, which converges monotonically for M-matrices, with a
     tightened tolerance so the downstream multiplier classification sees the
     same noise floor as an exact reduced solve.
@@ -281,8 +281,19 @@ def _coarse_sets(
     coarse_operator, restrict, prolong = operator.coarse_level
     x_coarse, _, _ = _pdas_solve(coarse_operator, restrict @ b, restrict @ lo,
                                  restrict @ hi, tol, max_iter)
-    x = prolong @ x_coarse
-    return _active_sets(operator.matrix @ x - b, x, lo, hi, 1.0 / natural_scale(grid))
+    return _sets_of_state(operator, b, lo, hi, prolong @ x_coarse)
+
+
+def _sets_of_state(
+    operator: AssembledOperator,
+    b: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    x: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """PDAS start sets that a state guess x implies under the load b."""
+    return _active_sets(operator.matrix @ x - b, x, lo, hi,
+                        1.0 / natural_scale(operator.grid))
 
 
 def _pdas_solve(
@@ -292,22 +303,35 @@ def _pdas_solve(
     hi: np.ndarray,
     tol: float,
     max_iter: int,
+    near: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, float]:
-    """PDAS on the operator's grid, seeded by _coarse_sets where it gives a
-    start. A seeded iteration that cycles restarts cold on the same grid.
-    Returns (x, set iterations plus PSOR sweeps, residual)."""
+    """PDAS on the operator's grid from the first start that does not cycle.
+
+    The starts are tried in turn: the sets of the nearby state near (if
+    given), the sets of _coarse_sets (where it gives a start), then empty
+    sets. A seeded iteration that cycles hands over to the next start, so
+    the path after a failed near start is exactly the path without one.
+    Returns (x, set iterations plus PSOR sweeps, residual).
+    """
     args = (operator, b, lo, hi, tol, max_iter)
-    start = _coarse_sets(*args)
-    x, iterations = None, 0
-    if start is not None:
-        x, iterations, err, sweeps = _pdas_bounds(*args, start=start)
-    restarted = start is not None and x is None
+    path, x, iterations = [], None, 0
+    if near is not None:
+        path.append("near")
+        x, iterations, err, sweeps = _pdas_bounds(
+            *args, start=_sets_of_state(operator, b, lo, hi, near))
     if x is None:
+        start = _coarse_sets(*args)
+        if start is not None:
+            path.append("coarse")
+            x, seeded, err, sweeps = _pdas_bounds(*args, start=start)
+            iterations += seeded
+    if x is None:
+        path.append("cold")
         x, cold, err, sweeps = _pdas_bounds(*args)
         iterations += cold
-    log.debug("pdas grid=%s seed=%s set_iterations=%d cold_restart=%s psor_sweeps=%d",
-              "x".join(map(str, operator.grid.shape)), "cold" if start is None else "coarse",
-              iterations, restarted, sweeps)
+    log.debug("pdas grid=%s seed=%s set_iterations=%d psor_sweeps=%d",
+              "x".join(map(str, operator.grid.shape)), ">".join(path),
+              iterations, sweeps)
     return x, iterations + sweeps, err
 
 
@@ -351,6 +375,7 @@ def solve_bop(
     u: GridFunction,
     method: str = "pdas",
     tol: float | None = None,
+    near: BopSolution | None = None,
 ) -> BopSolution:
     """Solve the bilateral obstacle problem at control u.
 
@@ -359,24 +384,35 @@ def solve_bop(
     default tolerance 1e-10, seeded from the half-size grid on large grids
     (see solve_vi_bounds). Tolerances are on the natural residual
     max|y - median(psi, y - h_min^2 * xi, phi)|.
+
+    near is a solution of the same problem at a nearby control. PDAS then
+    starts from the active sets that near's state implies under the load
+    f(u), with no coarse-level solve. The state depends only on the final
+    active sets, so a start that ends on the sets of the plain solve gives
+    the same bytes in fewer factorizations. A near start whose set
+    iteration cycles falls back to the plain path (coarse seed, then cold).
+    PSOR takes no near start.
     """
     if u.grid != problem.grid:
         raise GridMismatch("control iterate lives on a different grid")
-    tol, _ = _solver_options(method, tol)
+    tol, max_iter = _solver_options(method, tol)
     if problem.obstacles.separation <= 2.0 * tol:
         raise InfeasibleObstacles(
             f"obstacle separation {problem.obstacles.separation:.3e} "
             f"is below twice the solve tolerance"
         )
     b = problem.load(u)
-    y, iters, err = solve_vi_bounds(
-        problem.operator,
-        b,
-        problem.obstacles.psi,
-        problem.obstacles.phi,
-        method=method,
-        tol=tol,
-    )
+    psi, phi = problem.obstacles.psi, problem.obstacles.phi
+    if near is None:
+        y, iters, err = solve_vi_bounds(problem.operator, b, psi, phi,
+                                        method=method, tol=tol)
+    elif near.problem is not problem:
+        raise ValueError("near must be a solution of the same problem")
+    elif method != "pdas":
+        raise ValueError(f"near starts only PDAS, not {method!r}")
+    else:
+        y, iters, err = _pdas_solve(problem.operator, b, psi, phi, tol, max_iter,
+                                    near=near.y.values)
     xi = problem.operator.matrix @ y - b
     return BopSolution(
         problem=problem,

@@ -205,25 +205,6 @@ def profile_ramp(config: RingConfig) -> RadialProfile:
     )
 
 
-def _profile_piecewise_linear(knots_t: np.ndarray, knots_w: np.ndarray,
-                              name: str = "piecewise_linear") -> RadialProfile:
-    """Piecewise-linear W through (knots_t, knots_w); constant past the ends.
-
-    Gradient integral is the exact sum of slope^2 * interval length.
-    """
-    t = np.asarray(knots_t, dtype=float)
-    w = np.asarray(knots_w, dtype=float)
-    if t.ndim != 1 or t.size < 2 or (np.diff(t) <= 0).any() or w.shape != t.shape:
-        raise InvalidSpec("need strictly increasing knots with matching values")
-    grad_sq = float((np.diff(w) ** 2 / np.diff(t)).sum())
-    return RadialProfile(
-        name=name,
-        t_start=float(t[0]),
-        _fn=lambda x: np.interp(x, t, w),
-        _grad_sq=grad_sq,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class RingSums:
     """Partial sums of the ring pairing against one radial profile.

@@ -93,9 +93,11 @@ def descent_loop(
     """Projected-free subgradient descent u <- u - s*g with Armijo backtracking.
 
     Line-search failures are recorded in the trace (termination reason), never
-    raised; every accepted step strictly decreases the objective. Each trial
-    control is solved once; the accepted trial's solution gives the next
-    subgradient.
+    raised. The Armijo test compares the computed decrease j_try - j, so
+    every accepted step strictly decreases the objective, also where
+    c1*s*slope is below an ulp of j. Each trial control is solved once,
+    starting from the current accepted point (solve_bop's near); the
+    accepted trial's solution gives the next subgradient.
     """
     solution = solve_bop(cp.bop, u0)
     j = objective(cp, solution)
@@ -115,9 +117,9 @@ def descent_loop(
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             u_try = solution.u.with_values(solution.u.values - s * g)
-            trial_solution = solve_bop(cp.bop, u_try)
+            trial_solution = solve_bop(cp.bop, u_try, near=solution)
             j_try = objective(cp, trial_solution)
-            if j_try <= j + ARMIJO_C1 * s * slope:
+            if j_try - j <= ARMIJO_C1 * s * slope:
                 accepted = True
                 break
             s *= STEP_SHRINK

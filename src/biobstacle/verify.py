@@ -254,7 +254,7 @@ def criterion_6(seed: int) -> dict:
     errors = []
     for t in ts:
         u_t = u.with_values(u.values + t * h.values)
-        y_t = solve_bop(problem, u_t).y.values
+        y_t = solve_bop(problem, u_t, near=sol).y.values
         quotient = (y_t - sol.y.values) / t
         errors.append(float(np.abs(quotient - eta).max()))
     order = float(np.polyfit(np.log(ts), np.log(errors), 1)[0])
@@ -342,8 +342,8 @@ def criterion_8(seed: int) -> dict:
             w = problems.smooth_field(grid, rng, amplitude=1.0)
             u_plus = u.with_values(u.values + t * w.values)
             u_minus = u.with_values(u.values - t * w.values)
-            cd = (objective(cp, solve_bop(problem, u_plus))
-                  - objective(cp, solve_bop(problem, u_minus))) / (2.0 * t)
+            cd = (objective(cp, solve_bop(problem, u_plus, near=sol))
+                  - objective(cp, solve_bop(problem, u_minus, near=sol))) / (2.0 * t)
             directional = float(sub.g.values @ w.values)
             worst_cd = max(worst_cd, abs(directional - cd) / max(abs(cd), 1e-300))
 

@@ -226,12 +226,12 @@ def test_mosco_experiment_tail_and_sandwich(biactive_setup):
 
 
 def test_mosco_solves_once_per_schedule_step(biactive_setup, monkeypatch):
-    """The limit point is an input; only the u_n are solved."""
+    """The limit point is an input; only the u_n are solved, each from it."""
     _, sol, part = biactive_setup
     solves = []
 
     def counting_solve(*args, **kwargs):
-        solves.append(args[1])
+        solves.append((args[1], kwargs.get("near")))
         return solve_bop(*args, **kwargs)
 
     monkeypatch.setattr(derivatives, "solve_bop", counting_solve)
@@ -239,7 +239,9 @@ def test_mosco_solves_once_per_schedule_step(biactive_setup, monkeypatch):
     mosco_convergence_experiment(sol, part, _h(sol.problem.grid), side="upper",
                                  schedule=schedule, e=sol.problem.grid.constant(5.0))
     assert len(solves) == len(schedule)
-    assert all((u_n.values > sol.u.values).all() for u_n in solves)
+    assert all((u_n.values > sol.u.values).all() for u_n, _ in solves)
+    # each u_n starts from the limit point
+    assert all(near is sol for _, near in solves)
 
 
 def test_mosco_perturbation_must_be_positive(biactive_setup):

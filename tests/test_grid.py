@@ -21,7 +21,7 @@ from biobstacle import (
     natural_scale,
 )
 from biobstacle.errors import GridMismatch, InvalidSpec
-from biobstacle.grid import _check_two_coloring, _coercivity_constant, interpolation
+from biobstacle.grid import _check_two_coloring, interpolation
 from biobstacle.problems import random_instance, unit_grid
 
 
@@ -39,15 +39,6 @@ def test_laplacian_2d_frozen_entries():
     assert dense[0, 1] == pytest.approx(-9.0)
     assert dense[0, 2] == pytest.approx(-9.0)
     assert dense[0, 3] == 0.0
-
-
-def test_coercivity_frozen_values():
-    # 1D n=3: smallest eigenvalue of tridiag(-16,32,-16) is 32 - 16*sqrt(2)
-    op1 = assemble(Grid((3,)), OperatorSpec("laplacian"))
-    assert _coercivity_constant(op1) == pytest.approx(32.0 - 16.0 * math.sqrt(2.0))
-    # 2D n=2: twice the 1D minimum 18*(1 - cos(pi/3)) = 9
-    op2 = assemble(Grid((2, 2)), OperatorSpec("laplacian"))
-    assert _coercivity_constant(op2) == pytest.approx(18.0)
 
 
 def test_reaction_shifts_diagonal_only():

@@ -24,7 +24,7 @@ from biobstacle import (
 )
 from biobstacle.errors import EvaluationDomain, InvalidBeta, InvalidSpec
 from biobstacle.radial_series import (
-    _profile_piecewise_linear,
+    RadialProfile,
     bounded_tail_remainder,
     growth_constant,
     lower_bound_terms,
@@ -32,6 +32,25 @@ from biobstacle.radial_series import (
     state_grad_sq_envelope,
     sum_inverse_gap,
 )
+
+
+def _profile_piecewise_linear(knots_t: np.ndarray, knots_w: np.ndarray,
+                              name: str = "piecewise_linear") -> RadialProfile:
+    """Piecewise-linear W through (knots_t, knots_w); constant past the ends.
+
+    Gradient integral is the exact sum of slope^2 * interval length.
+    """
+    t = np.asarray(knots_t, dtype=float)
+    w = np.asarray(knots_w, dtype=float)
+    if t.ndim != 1 or t.size < 2 or (np.diff(t) <= 0).any() or w.shape != t.shape:
+        raise InvalidSpec("need strictly increasing knots with matching values")
+    grad_sq = float((np.diff(w) ** 2 / np.diff(t)).sum())
+    return RadialProfile(
+        name=name,
+        t_start=float(t[0]),
+        _fn=lambda x: np.interp(x, t, w),
+        _grad_sq=grad_sq,
+    )
 
 CFG = RingConfig()  # beta = 1/3, omega_k = 1/k
 

@@ -6,6 +6,7 @@ The larger 2D checks then play the two solvers against each other.
 """
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from biobstacle.errors import (
     InvalidSpec,
     NoConvergence,
 )
-from biobstacle.grid import OPERATOR_KINDS, _coercivity_constant, natural_scale
+from biobstacle.grid import OPERATOR_KINDS, AssembledOperator, natural_scale
 from biobstacle.multipliers import classify_sets, node_flags
 from biobstacle.obstacle import COARSE_MIN, _pdas_bounds, natural_residual
 from biobstacle.problems import (
@@ -39,10 +40,28 @@ from biobstacle.problems import (
     random_control,
     random_instance,
     random_operator,
+    smooth_field,
     unit_grid,
 )
 
 CONTROL_KINDS = ("identity", "smooth_monotone_superposition")
+
+
+def _coercivity_constant(op: AssembledOperator) -> float:
+    """Smallest eigenvalue of the symmetric part (dense; small grids only)."""
+    if op.grid.total > 4096:
+        raise InvalidSpec("coercivity check is a dense computation; grid too large")
+    sym = 0.5 * (op.matrix + op.adjoint_matrix).toarray()
+    return float(np.linalg.eigvalsh(sym)[0])
+
+
+def test_coercivity_frozen_values():
+    # 1D n=3: smallest eigenvalue of tridiag(-16,32,-16) is 32 - 16*sqrt(2)
+    op1 = assemble(Grid((3,)), OperatorSpec("laplacian"))
+    assert _coercivity_constant(op1) == pytest.approx(32.0 - 16.0 * math.sqrt(2.0))
+    # 2D n=2: twice the 1D minimum 18*(1 - cos(pi/3)) = 9
+    op2 = assemble(Grid((2, 2)), OperatorSpec("laplacian"))
+    assert _coercivity_constant(op2) == pytest.approx(18.0)
 
 
 def _box_problem(n=5, lo=-0.002, hi=0.002, kind="identity"):
@@ -207,7 +226,7 @@ def test_pdas_survives_set_cycling(caplog):
     with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
         sol = solve_bop(problem, u, method="pdas")
     [level] = _pdas_levels(caplog)
-    assert level["seed"] == "cold" and level["cold_restart"] == "False"
+    assert level["seed"] == "cold"
     assert int(level["psor_sweeps"]) > 0
     assert solution_residual(sol) <= 1e-10
     ref = solve_bop(problem, u, method="psor", tol=1e-11)
@@ -225,7 +244,7 @@ def test_seeded_cycle_restarts_cold(caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
         sol = solve_bop(problem, u, method="pdas")
     [level] = _pdas_levels(caplog)
-    assert level["seed"] == "coarse" and level["cold_restart"] == "True"
+    assert level["seed"] == "coarse>cold"
     assert int(level["psor_sweeps"]) > 0
     assert solution_residual(sol) <= 1e-10
     ref = solve_bop(problem, u, method="psor", tol=1e-11)
@@ -250,7 +269,6 @@ def test_seeded_pdas_matches_cold(caplog, n, operator_kind, control_kind):
         sol = solve_bop(problem, u, method="pdas")
     levels = _pdas_levels(caplog)
     assert levels[-1]["grid"] == f"{n}x{n}" and levels[-1]["seed"] == "coarse"
-    assert levels[-1]["cold_restart"] == "False"
     psi, phi = problem.obstacles.psi, problem.obstacles.phi
     cold, cold_iterations, _, sweeps = _pdas_bounds(
         problem.operator, problem.load(u), psi, phi, 1e-10, 200)
@@ -258,6 +276,52 @@ def test_seeded_pdas_matches_cold(caplog, n, operator_kind, control_kind):
     assert np.abs(sol.y.values - cold).max() <= 1e-8
     assert solution_residual(sol) <= 1e-10
     assert sol.iterations < cold_iterations
+
+
+@pytest.mark.parametrize("operator_kind", OPERATOR_KINDS)
+def test_near_start_matches_the_plain_solve(caplog, operator_kind):
+    """A solve started from a solution at a nearby control skips the coarse
+    level and ends on the plain solve's sets, so its bytes are the same."""
+    n = 2 * COARSE_MIN
+    grid = unit_grid(n, dim=2)
+    rng = np.random.default_rng([11, len(operator_kind)])
+    problem, u1 = random_instance(grid, rng, operator_kinds=(operator_kind,))
+    u2 = u1.with_values(u1.values + smooth_field(grid, rng, amplitude=1e-3).values)
+    near = solve_bop(problem, u1)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
+        warm = solve_bop(problem, u2, near=near)
+    [level] = _pdas_levels(caplog)
+    assert level["grid"] == f"{n}x{n}" and level["seed"] == "near"
+    plain = solve_bop(problem, u2)
+    assert np.array_equal(warm.y.values, plain.y.values)
+    assert np.array_equal(warm.xi.values, plain.xi.values)
+
+
+def test_cycling_near_start_falls_back_to_the_plain_path(caplog):
+    """A near start whose set iteration cycles is dropped, and the solve
+    takes the path it takes without one: here the cold iteration and its
+    PSOR fallback, bit for bit."""
+    problem, u = _cycling_instance()
+    far = solve_bop(problem, u.with_values(-u.values))
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
+        warm = solve_bop(problem, u, near=far)
+    [level] = _pdas_levels(caplog)
+    assert level["seed"] == "near>cold" and int(level["psor_sweeps"]) > 0
+    assert np.array_equal(warm.y.values, solve_bop(problem, u).y.values)
+
+
+def test_near_start_refusals():
+    """near must solve the same problem object, and starts PDAS only."""
+    problem, u = random_instance(unit_grid(8, dim=2), np.random.default_rng(4))
+    sol = solve_bop(problem, u)
+    twin = BopProblem(operator=problem.operator, control=problem.control,
+                      obstacles=problem.obstacles)
+    with pytest.raises(ValueError):
+        solve_bop(twin, u, near=sol)
+    with pytest.raises(ValueError):
+        solve_bop(problem, u, method="psor", near=sol)
 
 
 def test_convection_past_the_peclet_bound_stops_coarsening(caplog):
