@@ -288,7 +288,6 @@ def test_near_start_matches_the_plain_solve(caplog, operator_kind):
     problem, u1 = random_instance(grid, rng, operator_kinds=(operator_kind,))
     u2 = u1.with_values(u1.values + smooth_field(grid, rng, amplitude=1e-3).values)
     near = solve_bop(problem, u1)
-    caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
         warm = solve_bop(problem, u2, near=near)
     [level] = _pdas_levels(caplog)
@@ -304,7 +303,6 @@ def test_cycling_near_start_falls_back_to_the_plain_path(caplog):
     PSOR fallback, bit for bit."""
     problem, u = _cycling_instance()
     far = solve_bop(problem, u.with_values(-u.values))
-    caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
         warm = solve_bop(problem, u, near=far)
     [level] = _pdas_levels(caplog)
