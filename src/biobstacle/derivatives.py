@@ -71,7 +71,7 @@ def directional_derivative(
     hi = np.where(domain_for_side(partition, "upper"), np.inf, 0.0)
     problem = solution.problem
     eta, _, _ = solve_vi_bounds(problem.operator, _derivative_load(solution, h),
-                                lo, hi, method="psor", tol=CONE_TOL)
+                                lo, hi, tol=CONE_TOL)
     if not ((eta >= lo - 1e-12).all() and (eta <= hi + 1e-12).all()):
         raise InvalidD("cone VI solution left the critical cone")
     return DerivativeResult(eta=problem.grid.function(eta), D_used=None)

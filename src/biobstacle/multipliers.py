@@ -37,24 +37,20 @@ class MultiplierSplit:
             object.__setattr__(self, name, arr)
 
 
-def _contact(solution: BopSolution, eps_active: float) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) contact masks: a node within eps_active of an obstacle
+def _contact(solution: BopSolution) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) contact masks: a node within EPS_ACTIVE of an obstacle
     touches it, but only the strictly nearer obstacle, so no node touches
     both and the rule commutes with reflection even where the obstacles
-    are closer than 2*eps_active."""
+    are closer than 2*EPS_ACTIVE."""
     obstacles = solution.problem.obstacles
     gap_lower = solution.y.values - obstacles.psi
     gap_upper = obstacles.phi - solution.y.values
-    lower = (gap_lower <= eps_active) & (gap_lower < gap_upper)
-    upper = (gap_upper <= eps_active) & (gap_upper < gap_lower)
+    lower = (gap_lower <= EPS_ACTIVE) & (gap_lower < gap_upper)
+    upper = (gap_upper <= EPS_ACTIVE) & (gap_upper < gap_lower)
     return lower, upper
 
 
-def split_multiplier(
-    solution: BopSolution,
-    eps_active: float = EPS_ACTIVE,
-    eps_mult: float = EPS_MULT,
-) -> MultiplierSplit:
+def split_multiplier(solution: BopSolution) -> MultiplierSplit:
     """Decompose xi into its obstacle-attached parts.
 
     Refuses (ComplementarityViolated) if the multiplier carries mass at nodes
@@ -65,8 +61,8 @@ def split_multiplier(
     xi = solution.xi.values
     psi = solution.problem.obstacles.psi
     phi = solution.problem.obstacles.phi
-    lower, upper = _contact(solution, eps_active)
-    bad = ~(lower | upper) & (np.abs(xi) > eps_mult)
+    lower, upper = _contact(solution)
+    bad = ~(lower | upper) & (np.abs(xi) > EPS_MULT)
     if bad.any():
         worst = float(np.abs(xi[bad]).max())
         raise ComplementarityViolated(
@@ -134,19 +130,15 @@ class SetPartition:
         }
 
 
-def classify_sets(
-    solution: BopSolution,
-    eps_active: float = EPS_ACTIVE,
-    eps_mult: float = EPS_MULT,
-) -> SetPartition:
+def classify_sets(solution: BopSolution) -> SetPartition:
     """Active sets by state proximity, strict subsets by multiplier mass."""
-    split = split_multiplier(solution, eps_active=eps_active, eps_mult=eps_mult)
-    lower, upper = _contact(solution, eps_active)
+    split = split_multiplier(solution)
+    lower, upper = _contact(solution)
     return SetPartition(
         lower=lower,
         upper=upper,
-        lower_strict=lower & (split.lower >= eps_mult),
-        upper_strict=upper & (split.upper >= eps_mult),
+        lower_strict=lower & (split.lower >= EPS_MULT),
+        upper_strict=upper & (split.upper >= EPS_MULT),
     )
 
 

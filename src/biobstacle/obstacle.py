@@ -12,6 +12,7 @@ primal-dual active set method (pdas).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 import logging
 
@@ -106,21 +107,10 @@ class BopSolution:
     residual_norm: float
 
 
-def natural_residual(
-    matrix: sp.spmatrix,
-    b: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    x: np.ndarray,
-    scale: float,
-) -> float:
-    """max |x - median(lo, x - scale*(Ax-b), hi)|; zero iff x solves the VI."""
-    return _residual(matrix @ x - b, x, lo, hi, scale)
-
-
 def _residual(xi: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
               scale: float) -> float:
-    """The natural residual from the multiplier xi = Ax - b already in hand."""
+    """The natural residual max |x - median(lo, x - scale*xi, hi)| of x, with
+    xi = Ax - b its multiplier; zero iff x solves the VI."""
     proj = np.clip(x - scale * xi, lo, hi)
     return float(np.abs(x - proj).max())
 
@@ -147,7 +137,7 @@ def _psor_bounds(
         for c, rows_c in zip(colors, rows):
             r = b[c] - rows_c @ x
             x[c] = np.clip(x[c] + relaxation * r / diag[c], lo[c], hi[c])
-        err = natural_residual(matrix, b, lo, hi, x, scale)
+        err = _residual(matrix @ x - b, x, lo, hi, scale)
         if err <= tol:
             return x, it, err
     raise NoConvergence("psor", max_iter, err)
@@ -202,33 +192,23 @@ def _pdas_bounds(
     hi: np.ndarray,
     tol: float,
     max_iter: int,
-    start: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray | None, int, float, int]:
-    """Primal-dual active set iteration; returns at a fixed point or small residual.
+    start: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, int, float, bool]:
+    """Primal-dual active set iteration from the (lower, upper) active sets in
+    start; returns at a fixed point, a small residual or a cycle.
 
-    Starts from the (lower, upper) active sets in start, or from empty sets.
     Set updates follow _active_sets with c = 1/scale, scale the grid's
     natural_scale. Counts set updates, so an instance whose first
     classification is already a fixed point reports 0 iterations. Returns
-    (x, set iterations, residual, PSOR sweeps).
-
-    The set iteration can cycle when the obstacles nearly touch and nodes
-    flip between the two bounds. A repeated set signature is detected. From
-    a start, the iteration gives up and returns x = None, so that the caller
-    tries its next start. From empty sets the iterate is handed to projected
-    Gauss-Seidel, which converges monotonically for M-matrices, with a
-    tightened tolerance so the downstream multiplier classification sees the
-    same noise floor as an exact reduced solve.
+    (x, set iterations, residual, cycled). The set iteration can cycle when
+    the obstacles nearly touch and nodes flip between the two bounds; it
+    stops at the first repeated set signature with cycled true, and the
+    caller decides what to do with that iterate.
     """
     matrix = operator.matrix
     scale = natural_scale(operator.grid)
-    n = b.size
     c = 1.0 / scale
-    if start is None:
-        act_lo = np.zeros(n, dtype=bool)
-        act_up = np.zeros(n, dtype=bool)
-    else:
-        act_lo, act_up = start
+    act_lo, act_up = start
     seen = set()
     err = np.inf
     for it in range(max_iter + 1):
@@ -240,16 +220,10 @@ def _pdas_bounds(
         new_lo, new_up = _active_sets(xi, x, lo, hi, c)
         err = _residual(xi, x, lo, hi, scale)
         if err <= tol or ((new_lo == act_lo).all() and (new_up == act_up).all()):
-            return x, it, err, 0
+            return x, it, err, False
         signature = (new_lo.tobytes(), new_up.tobytes())
         if signature in seen:
-            if start is not None:
-                return None, it, err, 0
-            x, sweeps, err = _psor_bounds(
-                matrix, b, lo, hi, operator.grid.checkerboard(), x,
-                1.0, 0.01 * tol, SOLVER_DEFAULTS["psor"][1], scale,
-            )
-            return x, it, err, sweeps
+            return x, it, err, True
         seen.add(signature)
         act_lo, act_up = new_lo, new_up
     raise NoConvergence("pdas", max_iter, err)
@@ -270,8 +244,8 @@ def _coarse_sets(
     coarse state comes out in fine-state units. Restriction is a convex
     combination, so the coarse bounds stay apart. There is no seed when the
     coarse grid would have fewer than COARSE_MIN nodes on an axis, when a
-    bound is infinite (the cone VI), or when the operator has no coarse
-    level (convection past the mesh-Peclet bound).
+    bound is infinite (a unilateral obstacle), or when the operator has no
+    coarse level (convection past the mesh-Peclet bound).
     """
     grid = operator.grid
     if (min(grid.shape) // 2 < COARSE_MIN
@@ -296,6 +270,19 @@ def _sets_of_state(
                         1.0 / natural_scale(operator.grid))
 
 
+def _pdas_starts(operator: AssembledOperator, b: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, tol: float, max_iter: int, near: np.ndarray | None,
+                 ) -> Iterator[tuple[str, tuple[np.ndarray, np.ndarray]]]:
+    """(name, start sets) of each PDAS start in the order tried. A generator,
+    so the coarse solve runs only when the near start is missing or cycled."""
+    if near is not None:
+        yield "near", _sets_of_state(operator, b, lo, hi, near)
+    coarse = _coarse_sets(operator, b, lo, hi, tol, max_iter)
+    if coarse is not None:
+        yield "coarse", coarse
+    yield "cold", (np.zeros(b.size, dtype=bool), np.zeros(b.size, dtype=bool))
+
+
 def _pdas_solve(
     operator: AssembledOperator,
     b: np.ndarray,
@@ -309,38 +296,30 @@ def _pdas_solve(
 
     The starts are tried in turn: the sets of the nearby state near (if
     given), the sets of _coarse_sets (where it gives a start), then empty
-    sets. A seeded iteration that cycles hands over to the next start, so
-    the path after a failed near start is exactly the path without one.
-    Returns (x, set iterations plus PSOR sweeps, residual).
+    sets. A start whose iteration cycles hands over to the next one, so the
+    path after a failed near start is exactly the path without one. If the
+    cold start cycles too, its iterate goes to projected Gauss-Seidel, which
+    converges monotonically for M-matrices, with a tightened tolerance so
+    the downstream multiplier classification sees the same noise floor as
+    an exact reduced solve. Returns (x, set iterations plus PSOR sweeps,
+    residual).
     """
-    args = (operator, b, lo, hi, tol, max_iter)
-    path, x, iterations = [], None, 0
-    if near is not None:
-        path.append("near")
-        x, iterations, err, sweeps = _pdas_bounds(
-            *args, start=_sets_of_state(operator, b, lo, hi, near))
-    if x is None:
-        start = _coarse_sets(*args)
-        if start is not None:
-            path.append("coarse")
-            x, seeded, err, sweeps = _pdas_bounds(*args, start=start)
-            iterations += seeded
-    if x is None:
-        path.append("cold")
-        x, cold, err, sweeps = _pdas_bounds(*args)
-        iterations += cold
+    path, iterations, sweeps = [], 0, 0
+    for name, start in _pdas_starts(operator, b, lo, hi, tol, max_iter, near):
+        path.append(name)
+        x, steps, err, cycled = _pdas_bounds(operator, b, lo, hi, tol, max_iter, start)
+        iterations += steps
+        if not cycled:
+            break
+    else:
+        x, sweeps, err = _psor_bounds(
+            operator.matrix, b, lo, hi, operator.grid.checkerboard(), x,
+            1.0, 0.01 * tol, SOLVER_DEFAULTS["psor"][1], natural_scale(operator.grid),
+        )
     log.debug("pdas grid=%s seed=%s set_iterations=%d psor_sweeps=%d",
               "x".join(map(str, operator.grid.shape)), ">".join(path),
               iterations, sweeps)
     return x, iterations + sweeps, err
-
-
-def _solver_options(method: str, tol: float | None) -> tuple[float, int]:
-    """The method's tolerance, default filled in, and its iteration cap."""
-    if method not in SOLVER_DEFAULTS:
-        raise ValueError(f"method must be 'psor' or 'pdas', got {method!r}")
-    default_tol, max_iter = SOLVER_DEFAULTS[method]
-    return default_tol if tol is None else tol, max_iter
 
 
 def solve_vi_bounds(
@@ -348,26 +327,24 @@ def solve_vi_bounds(
     b: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    method: str = "pdas",
     tol: float | None = None,
 ) -> tuple[np.ndarray, int, float]:
-    """Solve the box-constrained VI for general (possibly infinite) bounds.
+    """Projected SOR for the box-constrained VI with general (possibly
+    infinite) bounds, from the projection of 0.
 
-    Shared backend for obstacle problems and for critical-cone problems,
-    whose bounds mix 0 and +-inf. PSOR starts from the projection of 0;
-    PDAS starts from the half-size grid's solution once that grid has
-    COARSE_MIN nodes per axis and the bounds are finite, else from empty
-    active sets.
+    The PSOR backend of solve_bop(method="psor") and of the critical-cone
+    problems, whose bounds mix 0 and +-inf. Relaxation PSOR_RELAXATION;
+    tolerance and iteration cap default to SOLVER_DEFAULTS["psor"]. Returns
+    (x, sweeps, residual).
     """
-    tol, max_iter = _solver_options(method, tol)
-    if method == "pdas":
-        return _pdas_solve(operator, b, lo, hi, tol, max_iter)
+    default_tol, max_iter = SOLVER_DEFAULTS["psor"]
     grid = operator.grid
     start = np.clip(np.zeros(grid.total), lo, hi)
     if not np.isfinite(start).all():
         raise InfeasibleObstacles("no finite starting point inside the bounds")
     return _psor_bounds(operator.matrix, b, lo, hi, grid.checkerboard(), start,
-                        PSOR_RELAXATION, tol, max_iter, natural_scale(grid))
+                        PSOR_RELAXATION, default_tol if tol is None else tol,
+                        max_iter, natural_scale(grid))
 
 
 def solve_bop(
@@ -379,10 +356,11 @@ def solve_bop(
 ) -> BopSolution:
     """Solve the bilateral obstacle problem at control u.
 
-    method="psor": projected SOR, relaxation 1.5, default tolerance 1e-8.
-    method="pdas": primal-dual active set with exact reduced solves,
-    default tolerance 1e-10, seeded from the half-size grid on large grids
-    (see solve_vi_bounds). Tolerances are on the natural residual
+    method="psor": solve_vi_bounds, projected SOR with relaxation 1.5 and
+    default tolerance 1e-8. method="pdas": _pdas_solve, primal-dual active
+    set with exact reduced solves and default tolerance 1e-10, started from
+    the half-size grid's solution on large grids and from empty sets
+    otherwise. Tolerances are on the natural residual
     max|y - median(psi, y - h_min^2 * xi, phi)|.
 
     near is a solution of the same problem at a nearby control. PDAS then
@@ -395,24 +373,26 @@ def solve_bop(
     """
     if u.grid != problem.grid:
         raise GridMismatch("control iterate lives on a different grid")
-    tol, max_iter = _solver_options(method, tol)
+    if method not in SOLVER_DEFAULTS:
+        raise ValueError(f"method must be 'psor' or 'pdas', got {method!r}")
+    default_tol, max_iter = SOLVER_DEFAULTS[method]
+    tol = default_tol if tol is None else tol
     if problem.obstacles.separation <= 2.0 * tol:
         raise InfeasibleObstacles(
             f"obstacle separation {problem.obstacles.separation:.3e} "
             f"is below twice the solve tolerance"
         )
+    if near is not None and near.problem is not problem:
+        raise ValueError("near must be a solution of the same problem")
+    if near is not None and method != "pdas":
+        raise ValueError(f"near starts only PDAS, not {method!r}")
     b = problem.load(u)
     psi, phi = problem.obstacles.psi, problem.obstacles.phi
-    if near is None:
-        y, iters, err = solve_vi_bounds(problem.operator, b, psi, phi,
-                                        method=method, tol=tol)
-    elif near.problem is not problem:
-        raise ValueError("near must be a solution of the same problem")
-    elif method != "pdas":
-        raise ValueError(f"near starts only PDAS, not {method!r}")
-    else:
+    if method == "pdas":
         y, iters, err = _pdas_solve(problem.operator, b, psi, phi, tol, max_iter,
-                                    near=near.y.values)
+                                    None if near is None else near.y.values)
+    else:
+        y, iters, err = solve_vi_bounds(problem.operator, b, psi, phi, tol)
     xi = problem.operator.matrix @ y - b
     return BopSolution(
         problem=problem,
@@ -458,12 +438,7 @@ def reflect_problem(problem: BopProblem) -> BopProblem:
 
 def solution_residual(solution: BopSolution) -> float:
     """Natural residual of a stored solution (diagnostic)."""
-    problem, u = solution.problem, solution.u
-    return natural_residual(
-        problem.operator.matrix,
-        problem.load(u),
-        problem.obstacles.psi,
-        problem.obstacles.phi,
-        solution.y.values,
-        natural_scale(problem.grid),
-    )
+    problem, y = solution.problem, solution.y.values
+    return _residual(problem.operator.matrix @ y - problem.load(solution.u), y,
+                     problem.obstacles.psi, problem.obstacles.phi,
+                     natural_scale(problem.grid))

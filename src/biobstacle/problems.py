@@ -121,17 +121,16 @@ def monotone_control_pair(grid: Grid, rng: np.random.Generator,
 
 
 def monotone_obstacle_pair(problem: BopProblem, rng: np.random.Generator,
-                           ) -> tuple[ObstaclePair, ObstaclePair]:
-    """(raised, original): lower obstacle raised by a nonnegative bump while
-    staying strictly below phi."""
+                           ) -> ObstaclePair:
+    """The problem's obstacles with the lower one raised by a nonnegative
+    bump while staying strictly below phi."""
     grid = problem.grid
     pair = problem.obstacles
     room = pair.psi + 0.5 * (pair.phi - pair.psi)
     bump = np.abs(smooth_field(grid, rng, amplitude=1.0).values)
     scale = float(rng.uniform(0.1, 0.9))
     raised_psi = np.minimum(pair.psi + scale * bump, room)
-    raised = ObstaclePair(grid, raised_psi, pair.phi)
-    return raised, pair
+    return ObstaclePair(grid, raised_psi, pair.phi)
 
 
 def _patch_mask(grid: Grid, box: tuple[tuple[float, float], ...]) -> np.ndarray:

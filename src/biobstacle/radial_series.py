@@ -171,22 +171,16 @@ def profile_state(config: RingConfig) -> RadialProfile:
     )
 
 
-def state_grad_sq_envelope(config: RingConfig) -> float:
-    """cos^2 <= 1 envelope of the state profile's gradient integral:
-    beta^2 * t_boundary^(2*beta - 1) / (1 - 2*beta)."""
-    beta, tb = config.beta, config.t_boundary
-    return beta**2 * tb ** (2.0 * beta - 1.0) / (1.0 - 2.0 * beta)
-
-
 def profile_log_power(config: RingConfig) -> RadialProfile:
     """Unbounded W = t^beta - pi; zero on the outer boundary; exact gradient
-    integral beta^2 * t_boundary^(2*beta-1)/(1-2*beta)."""
-    beta = config.beta
+    integral beta^2 * t_boundary^(2*beta-1)/(1-2*beta), which is also the
+    cos^2 <= 1 envelope of the state profile's gradient integral."""
+    beta, tb = config.beta, config.t_boundary
     return RadialProfile(
         name="log_power",
-        t_start=config.t_boundary,
+        t_start=tb,
         _fn=lambda t: t**beta - math.pi,
-        _grad_sq=state_grad_sq_envelope(config),
+        _grad_sq=beta**2 * tb ** (2.0 * beta - 1.0) / (1.0 - 2.0 * beta),
     )
 
 
@@ -239,12 +233,14 @@ def pair_with_radial(config: RingConfig, profile: RadialProfile, K: int) -> Ring
     )
 
 
-def sum_inverse_gap(config: RingConfig) -> tuple[float, float]:
-    """(lower, upper) enclosure of sum_k 1/gap_k over all k.
+def measure_mass_bound(config: RingConfig) -> float:
+    """2*pi*sqrt(sum omega^2)*sqrt(sum 1/gap): bounds either measure applied
+    to any w with |w| <= 1 (rigorous upper enclosure of the tail).
 
-    The first 200,000 terms are summed directly; the remainder is bounded
-    above by the integral of the mean-value upper bound 1/gap(x) <= (beta/pi)
-    * (2x*pi - pi/2)^(1 - 1/beta), which has an elementary antiderivative.
+    The first 200,000 terms of sum_k 1/gap_k are summed directly; the
+    remainder is bounded above by the integral of the mean-value upper bound
+    1/gap(x) <= (beta/pi) * (2x*pi - pi/2)^(1 - 1/beta), which has an
+    elementary antiderivative.
     """
     exact_terms = 200_000
     k = np.arange(1, exact_terms + 1, dtype=float)
@@ -252,14 +248,7 @@ def sum_inverse_gap(config: RingConfig) -> tuple[float, float]:
     p = config.p
     edge = 2.0 * exact_terms * math.pi - math.pi / 2.0
     tail = (config.beta / math.pi) * edge ** (2.0 - p) / (TWO_PI * (p - 2.0))
-    return partial, partial + tail
-
-
-def measure_mass_bound(config: RingConfig) -> float:
-    """2*pi*sqrt(sum omega^2)*sqrt(sum 1/gap): bounds either measure applied
-    to any w with |w| <= 1 (rigorous upper enclosure of the tail)."""
-    _, upper = sum_inverse_gap(config)
-    return TWO_PI * math.sqrt(config.sum_omega_sq()) * math.sqrt(upper)
+    return TWO_PI * math.sqrt(config.sum_omega_sq()) * math.sqrt(partial + tail)
 
 
 def h1_pairing_bound(config: RingConfig, profile: RadialProfile) -> float:

@@ -39,7 +39,7 @@ from .radial_series import (
 from .reporting import render_json
 from .tracking import adjoint_subgradient, descent_loop, objective
 
-MULTIPLIER_NOISE = 1e-11  # solver-level multiplier noise, far below eps_mult
+MULTIPLIER_NOISE = 1e-11  # solver-level multiplier noise, far below EPS_MULT
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -90,7 +90,7 @@ def criterion_2(seed: int) -> dict:
     worst_state_psi = -np.inf     # raising psi must not lower the state
     for _ in range(50):
         problem, u = problems.random_instance(grid, rng)
-        raised, _ = problems.monotone_obstacle_pair(problem, rng)
+        raised = problems.monotone_obstacle_pair(problem, rng)
         y_orig = solve_bop(problem, u).y.values
         y_raised = solve_bop_with_obstacles(problem, u, psi_override=raised.psi).y.values
         worst_state_psi = max(worst_state_psi, float((y_orig - y_raised).max()))

@@ -29,8 +29,6 @@ from biobstacle.radial_series import (
     growth_constant,
     lower_bound_terms,
     obstacle_values_at,
-    state_grad_sq_envelope,
-    sum_inverse_gap,
 )
 
 
@@ -121,8 +119,8 @@ def test_state_profile_gradient_frozen():
     assert state.h1_seminorm() == pytest.approx(
         math.sqrt(2.0 * math.pi * STATE_GRAD_SQ), rel=1e-12
     )
-    # cos^2 <= 1 envelope is strict
-    assert 0.0 < state.grad_sq_integral() < state_grad_sq_envelope(CFG)
+    # the cos^2 <= 1 envelope, the log-power profile's gradient integral, is strict
+    assert 0.0 < state.grad_sq_integral() < profile_log_power(CFG).grad_sq_integral()
 
 
 def test_state_gradient_sandwich_by_direct_quadrature():
@@ -207,9 +205,12 @@ def test_bounded_side_is_cauchy():
 
 
 def test_measure_mass_bound_contains_partial_sums():
-    lo, hi = sum_inverse_gap(CFG)
-    assert 0.0 < lo < hi
+    # the bound's direct part (the first 200,000 terms of sum 1/gap) is
+    # positive, and its tail enclosure adds to it
+    k = np.arange(1, 200_001, dtype=float)
+    direct = float((1.0 / log_radius_gap(k, CFG.beta)).sum())
     bound = measure_mass_bound(CFG)
+    assert 0.0 < 2.0 * math.pi * math.sqrt(CFG.sum_omega_sq()) * math.sqrt(direct) < bound
     sums = pair_with_radial(CFG, profile_ramp(CFG), 5000)
     assert float(sums.upper_part.max()) <= bound
 

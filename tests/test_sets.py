@@ -15,7 +15,7 @@ from biobstacle import (
     split_multiplier,
     verify_strict_set_monotonicity,
 )
-from biobstacle import derivatives
+from biobstacle import derivatives, multipliers
 from biobstacle.errors import ComplementarityViolated, InvalidD, NotMonotonePair
 from biobstacle.obstacle import BopSolution
 from biobstacle.problems import (
@@ -126,15 +126,15 @@ def test_node_flags_values(solved_biactive):
     assert (flags[part.upper] == "upper").all()
 
 
-def test_classification_is_threshold_stable(solved_biactive):
+def test_classification_is_threshold_stable(solved_biactive, monkeypatch):
     """The manufactured instance puts every node far from both thresholds,
     so scaling them by 10 either way must not move any set."""
     _, sol = solved_biactive
     base = classify_sets(sol).counts()
     for factor in (0.1, 10.0):
-        part = classify_sets(sol, eps_active=factor * EPS_ACTIVE,
-                             eps_mult=factor * EPS_MULT)
-        assert part.counts() == base
+        monkeypatch.setattr(multipliers, "EPS_ACTIVE", factor * EPS_ACTIVE)
+        monkeypatch.setattr(multipliers, "EPS_MULT", factor * EPS_MULT)
+        assert classify_sets(sol).counts() == base
 
 
 def _cone_bounds(sol, part, monkeypatch):

@@ -34,7 +34,7 @@ from biobstacle.errors import (
 )
 from biobstacle.grid import OPERATOR_KINDS, AssembledOperator, natural_scale
 from biobstacle.multipliers import classify_sets, node_flags
-from biobstacle.obstacle import COARSE_MIN, _pdas_bounds, natural_residual
+from biobstacle.obstacle import COARSE_MIN, _pdas_bounds, _residual
 from biobstacle.problems import (
     monotone_control_pair,
     random_control,
@@ -270,9 +270,10 @@ def test_seeded_pdas_matches_cold(caplog, n, operator_kind, control_kind):
     levels = _pdas_levels(caplog)
     assert levels[-1]["grid"] == f"{n}x{n}" and levels[-1]["seed"] == "coarse"
     psi, phi = problem.obstacles.psi, problem.obstacles.phi
-    cold, cold_iterations, _, sweeps = _pdas_bounds(
-        problem.operator, problem.load(u), psi, phi, 1e-10, 200)
-    assert sweeps == 0
+    empty = np.zeros(grid.total, dtype=bool)
+    cold, cold_iterations, _, cycled = _pdas_bounds(
+        problem.operator, problem.load(u), psi, phi, 1e-10, 200, (empty, empty))
+    assert not cycled
     assert np.abs(sol.y.values - cold).max() <= 1e-8
     assert solution_residual(sol) <= 1e-10
     assert sol.iterations < cold_iterations
@@ -363,15 +364,19 @@ def test_coarse_level_is_assembled_once_per_operator(monkeypatch):
 
 
 def test_no_seed_below_coarse_min_or_for_infinite_bounds(caplog):
-    """Below 2*COARSE_MIN nodes per axis, and for cone-type bounds, PDAS
-    starts from empty sets."""
+    """Below 2*COARSE_MIN nodes per axis, and for an obstacle with infinite
+    entries (a unilateral problem), PDAS starts from empty sets."""
     problem, u = random_instance(unit_grid(2 * COARSE_MIN - 1, dim=2),
                                  np.random.default_rng(9))
-    operator = assemble(unit_grid(2 * COARSE_MIN, dim=2), OperatorSpec("laplacian"))
-    n = operator.grid.total
+    grid = unit_grid(2 * COARSE_MIN, dim=2)
+    operator = assemble(grid, OperatorSpec("laplacian"))
+    assert operator.coarse_level is not None
+    unilateral = BopProblem(
+        operator=operator, control=ControlOperator(grid, kind="identity"),
+        obstacles=ObstaclePair(grid, np.zeros(grid.total), np.full(grid.total, np.inf)))
     with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
         solve_bop(problem, u, method="pdas")
-        solve_vi_bounds(operator, np.ones(n), np.zeros(n), np.full(n, np.inf))
+        solve_bop(unilateral, grid.constant(1.0 / grid.mass), method="pdas")
     assert [level["seed"] for level in _pdas_levels(caplog)] == ["cold", "cold"]
 
 
@@ -456,22 +461,32 @@ def test_unknown_method_rejected():
 
 
 def test_vi_bounds_accepts_half_infinite_boxes():
-    """The shared backend handles one-sided and free bounds, which is what
-    the critical-cone solves feed it."""
+    """Both solvers handle one-sided and free bounds: the critical-cone
+    solves feed them to PSOR, and obstacles with infinite entries reach
+    PDAS through solve_bop."""
     grid = unit_grid(6, dim=1)
     operator = assemble(grid, OperatorSpec("laplacian"))
-    b = np.full(grid.total, -1.0)
+    control = ControlOperator(grid, kind="identity")
+    u = grid.constant(-1.0 / grid.mass)
     lo = np.full(grid.total, -np.inf)
     lo[::2] = 0.0
     hi = np.full(grid.total, np.inf)
+    box = BopProblem(operator=operator, control=control,
+                     obstacles=ObstaclePair(grid, lo, hi))
+    states = []
     for method in ("psor", "pdas"):
-        x, _, err = solve_vi_bounds(operator, b, lo, hi, method=method, tol=1e-12)
-        assert err <= 1e-12
-        assert (x[::2] >= -1e-14).all()
+        sol = solve_bop(box, u, method=method, tol=1e-12)
+        assert sol.residual_norm <= 1e-12
+        assert (sol.y.values[::2] >= -1e-14).all()
+        states.append(sol.y.values)
+    np.testing.assert_allclose(states[0], states[1], atol=1e-12)
+    x, _, err = solve_vi_bounds(operator, box.load(u), lo, hi, tol=1e-12)
+    assert err <= 1e-12 and np.array_equal(x, states[0])
     # the unconstrained VI is the linear system
-    free = np.full(grid.total, -np.inf)
-    x, _, _ = solve_vi_bounds(operator, b, free, hi, method="pdas")
-    np.testing.assert_allclose(operator.matrix @ x, b, atol=1e-12)
+    free = BopProblem(operator=operator, control=control,
+                      obstacles=ObstaclePair(grid, np.full(grid.total, -np.inf), hi))
+    sol = solve_bop(free, u, method="pdas")
+    np.testing.assert_allclose(operator.matrix @ sol.y.values, free.load(u), atol=1e-12)
 
 
 def test_natural_residual_vanishes_only_at_solution():
@@ -479,9 +494,8 @@ def test_natural_residual_vanishes_only_at_solution():
     u = problem.grid.constant(10.0)
     sol = solve_bop(problem, u, method="pdas")
     assert solution_residual(sol) <= 1e-12
-    err = natural_residual(
-        problem.operator.matrix, problem.load(u),
-        problem.obstacles.psi, problem.obstacles.phi,
-        sol.y.values + 1e-3, natural_scale(problem.grid),
-    )
+    y = sol.y.values + 1e-3
+    err = _residual(problem.operator.matrix @ y - problem.load(u), y,
+                    problem.obstacles.psi, problem.obstacles.phi,
+                    natural_scale(problem.grid))
     assert err > 1e-5
