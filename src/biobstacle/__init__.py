@@ -37,21 +37,18 @@ from .multipliers import (
     MultiplierSplit,
     SetPartition,
     classify_sets,
+    mirror_check,
     node_flags,
     pair_inclusion_violations,
     pairing_identity_gap,
-    reflection_swap_mismatches,
     split_multiplier,
-    verify_strict_set_monotonicity,
 )
 from .obstacle import (
     BopProblem,
     BopSolution,
     ObstaclePair,
-    reflect_problem,
     solution_residual,
     solve_bop,
-    solve_bop_with_obstacles,
     solve_vi_bounds,
 )
 from .oracle import solve_by_enumeration

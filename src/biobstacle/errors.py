@@ -21,10 +21,6 @@ class ComplementarityViolated(BiobstacleError):
     """A claimed solution fails the complementarity conditions."""
 
 
-class NotMonotonePair(BiobstacleError):
-    """Inputs were promised nodewise ordered but are not."""
-
-
 class InvalidD(BiobstacleError):
     """Reduced-equation domain does not sit between the inactive set and the
     complement of the strictly active set."""

@@ -27,25 +27,18 @@ OPERATOR_KINDS = ("laplacian", "laplacian_plus_reaction", "laplacian_plus_convec
 class Grid:
     """Uniform rectangular grid of interior nodes, row-major node order.
 
-    shape[a] is the interior node count along axis a; spacing along that
-    axis is side_length/(shape[a]+1). In 2D node i sits at
-    (ix, iy) = (i % nx, i // nx).
+    The grid covers the unit interval or square. shape[a] is the interior
+    node count along axis a; spacing along that axis is 1/(shape[a]+1). In
+    2D node i sits at (ix, iy) = (i % nx, i // nx).
     """
 
     shape: tuple[int, ...]
-    extent: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         shape = tuple(int(n) for n in self.shape)
         if len(shape) not in (1, 2) or any(n < 1 for n in shape):
             raise InvalidSpec(f"grid shape must be 1 or 2 positive axes, got {self.shape}")
-        extent = tuple(tuple(float(v) for v in ab) for ab in self.extent)
-        if not extent:
-            extent = tuple((0.0, 1.0) for _ in shape)
-        if len(extent) != len(shape) or any(b <= a for a, b in extent):
-            raise InvalidSpec(f"bad extent {self.extent} for shape {self.shape}")
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "extent", extent)
 
     @property
     def dim(self) -> int:
@@ -57,7 +50,7 @@ class Grid:
 
     @property
     def spacing(self) -> tuple[float, ...]:
-        return tuple((b - a) / (n + 1) for (a, b), n in zip(self.extent, self.shape))
+        return tuple(1.0 / (n + 1) for n in self.shape)
 
     @property
     def mass(self) -> float:
@@ -74,10 +67,7 @@ class Grid:
 
     def coordinates(self) -> np.ndarray:
         """(total, dim) array of node coordinates."""
-        cols = []
-        for ax, ids in enumerate(self.axis_indices()):
-            lo, _ = self.extent[ax]
-            cols.append(lo + (ids + 1) * self.spacing[ax])
+        cols = [(ids + 1) * h for ids, h in zip(self.axis_indices(), self.spacing)]
         return np.stack(cols, axis=1)
 
     def checkerboard(self) -> tuple[np.ndarray, np.ndarray]:
@@ -166,8 +156,8 @@ class AssembledOperator:
 
     @cached_property
     def coarse_level(self) -> tuple["AssembledOperator", sp.csr_matrix, sp.csr_matrix] | None:
-        """(operator, restriction, prolongation) on the half-size grid of the
-        same extent, or None where that grid or its operator is refused
+        """(operator, restriction, prolongation) on the half-size grid, or
+        None where that grid or its operator is refused
         (a convection operator past the mesh-Peclet bound).
 
         Built on first use and kept for the operator's lifetime, so solves
@@ -175,7 +165,7 @@ class AssembledOperator:
         caches its own.
         """
         try:
-            coarse = Grid(tuple(n // 2 for n in self.grid.shape), self.grid.extent)
+            coarse = Grid(tuple(n // 2 for n in self.grid.shape))
             operator = assemble(coarse, self.spec)
         except InvalidSpec:
             return None
@@ -252,15 +242,14 @@ def _check_two_coloring(matrix: sp.spmatrix, grid: Grid) -> None:
         raise InvalidSpec("stencil couples same-color nodes; not a 5-point stencil")
 
 
-def _axis_interpolation(src_n: int, dst_n: int, extent: tuple[float, float]) -> sp.csr_matrix:
+def _axis_interpolation(src_n: int, dst_n: int) -> sp.csr_matrix:
     """Linear interpolation from src_n interior nodes to dst_n interior nodes
-    of one axis, with the Dirichlet ends held at zero."""
-    a, b = extent
-    h = (b - a) / (src_n + 1)
-    dst = a + np.arange(1, dst_n + 1) * (b - a) / (dst_n + 1)
+    of the unit interval, with the Dirichlet ends held at zero."""
+    h = 1.0 / (src_n + 1)
+    dst = np.arange(1, dst_n + 1) / (dst_n + 1)
     # t is the position in src spacings; src node i sits at t = i + 1, the
     # boundary at t = 0 and t = src_n + 1
-    t = (dst - a) / h
+    t = dst / h
     left = np.clip(np.floor(t).astype(int), 0, src_n)
     frac = t - left
     rows = np.concatenate([np.arange(dst_n)] * 2)
@@ -274,15 +263,13 @@ def interpolation(src: Grid, dst: Grid) -> sp.csr_matrix:
     """Linear (1D) or bilinear (2D) interpolation by node coordinates from
     src to dst, zero on the Dirichlet boundary: (dst.total, src.total).
 
-    Serves both directions between a grid and a coarser one on the same
-    extent. Restricting to the coarser grid never reaches the boundary, so
-    each row is a convex combination; prolonging uses the zero boundary
-    values in the outer ring.
+    Serves both directions between a grid and a coarser one. Restricting
+    to the coarser grid never reaches the boundary, so each row is a convex
+    combination; prolonging uses the zero boundary values in the outer ring.
     """
-    if src.dim != dst.dim or src.extent != dst.extent:
+    if src.dim != dst.dim:
         raise GridMismatch(f"cannot interpolate between {src} and {dst}")
-    axes = [_axis_interpolation(m, n, ext)
-            for m, n, ext in zip(src.shape, dst.shape, src.extent)]
+    axes = [_axis_interpolation(m, n) for m, n in zip(src.shape, dst.shape)]
     if src.dim == 1:
         return axes[0]
     return sp.kron(axes[1], axes[0], format="csr")

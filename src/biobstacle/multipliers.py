@@ -10,13 +10,12 @@ without ever looking at obstacle names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ComplementarityViolated, NotMonotonePair
-from .grid import GridFunction
-from .obstacle import BopProblem, BopSolution, reflect_problem, solve_bop
+from .errors import ComplementarityViolated
+from .obstacle import BopSolution, ObstaclePair, solve_bop
 
 EPS_ACTIVE = 1e-8   # within this of the nearer obstacle counts as contact
 EPS_MULT = 1e-7     # multiplier mass above this counts as strictly active
@@ -163,49 +162,23 @@ def pair_inclusion_violations(part_hi: SetPartition, part_lo: SetPartition) -> d
     }
 
 
-def reflection_swap_mismatches(partition: SetPartition, mirrored: SetPartition) -> int:
-    """Nodes where the reflected problem's partition fails to swap the lower
-    and upper sets of the original, summed over the four masks."""
-    return (int((mirrored.lower != partition.upper).sum())
-            + int((mirrored.upper != partition.lower).sum())
-            + int((mirrored.lower_strict != partition.upper_strict).sum())
-            + int((mirrored.upper_strict != partition.lower_strict).sum()))
+def mirror_check(solution: BopSolution, partition: SetPartition) -> tuple[float, int]:
+    """Solve the mirror problem, obstacles (-phi, -psi) with the same operator
+    and control, at -u, and compare it with the solution and its partition.
 
-
-def verify_strict_set_monotonicity(
-    problem: BopProblem,
-    u_hi: GridFunction,
-    u_lo: GridFunction,
-) -> dict:
-    """Check the ordered-control set inclusions for u_hi >= u_lo.
-
-    Expected: lower active and strictly lower active sets shrink as the
-    control grows; upper ones grow. Returns per-inclusion violation counts.
-    For the identity control the upper-side inclusions are also re-derived
-    through the reflected problem, which maps them back to lower-side ones.
+    Every control map is odd (f(-u) = -f(u), bit for bit), so the mirror
+    state is exactly -y and its lower and upper sets are the original's
+    upper and lower ones. Returns (max |y_mirror + y|, number of nodes where
+    the four masks fail to swap, summed over the masks).
     """
-    if (u_hi.values < u_lo.values).any():
-        raise NotMonotonePair("controls are not nodewise ordered")
-    sol_hi = solve_bop(problem, u_hi)
-    sol_lo = solve_bop(problem, u_lo)
-    part_hi = classify_sets(sol_hi)
-    part_lo = classify_sets(sol_lo)
-    report = pair_inclusion_violations(part_hi, part_lo)
-    report["ok"] = not any(report.values())
-    report["reflection_checked"] = False
-    if problem.control.kind == "identity":
-        mirrored = reflect_problem(problem)
-        swaps = sum(
-            reflection_swap_mismatches(
-                part, classify_sets(solve_bop(mirrored, sol.u.with_values(-sol.u.values))))
-            for sol, part in ((sol_hi, part_hi), (sol_lo, part_lo))
-        )
-        report["reflection_checked"] = True
-        report["reflection_swap_mismatches"] = swaps
-        report["ok"] = report["ok"] and swaps == 0
-    else:
-        # every control map is odd, so reflection would hold here too; it is
-        # kept to identity draws because it costs two more solves per pair,
-        # which verify-all's criterion 2 would pay on every other draw
-        report["reflection_skipped_kind"] = problem.control.kind
-    return report
+    problem = solution.problem
+    pair = problem.obstacles
+    mirror = replace(problem, obstacles=ObstaclePair(pair.grid, -pair.phi, -pair.psi))
+    sol_m = solve_bop(mirror, solution.u.with_values(-solution.u.values))
+    part_m = classify_sets(sol_m)
+    gap = float(np.abs(sol_m.y.values + solution.y.values).max())
+    mismatches = (int((part_m.lower != partition.upper).sum())
+                  + int((part_m.upper != partition.lower).sum())
+                  + int((part_m.lower_strict != partition.upper_strict).sum())
+                  + int((part_m.upper_strict != partition.lower_strict).sum()))
+    return gap, mismatches

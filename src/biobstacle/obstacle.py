@@ -116,19 +116,20 @@ def _residual(xi: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 
 def _psor_bounds(
-    matrix: sp.csr_matrix,
+    operator: AssembledOperator,
     b: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    colors,
     x: np.ndarray,
     relaxation: float,
     tol: float,
-    max_iter: int,
-    scale: float,
 ) -> tuple[np.ndarray, int, float]:
     """Projected SOR onto [lo, hi] from x, red-black sweep order, vectorized
-    per color."""
+    per color, up to the sweep cap in SOLVER_DEFAULTS["psor"]."""
+    matrix = operator.matrix
+    colors = operator.grid.checkerboard()
+    scale = natural_scale(operator.grid)
+    max_iter = SOLVER_DEFAULTS["psor"][1]
     x = np.clip(x, lo, hi).astype(float)
     diag = matrix.diagonal()
     rows = [matrix[c] for c in colors]
@@ -191,7 +192,6 @@ def _pdas_bounds(
     lo: np.ndarray,
     hi: np.ndarray,
     tol: float,
-    max_iter: int,
     start: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, int, float, bool]:
     """Primal-dual active set iteration from the (lower, upper) active sets in
@@ -203,8 +203,10 @@ def _pdas_bounds(
     (x, set iterations, residual, cycled). The set iteration can cycle when
     the obstacles nearly touch and nodes flip between the two bounds; it
     stops at the first repeated set signature with cycled true, and the
-    caller decides what to do with that iterate.
+    caller decides what to do with that iterate. The iteration cap is the
+    one in SOLVER_DEFAULTS["pdas"].
     """
+    max_iter = SOLVER_DEFAULTS["pdas"][1]
     matrix = operator.matrix
     scale = natural_scale(operator.grid)
     c = 1.0 / scale
@@ -235,7 +237,6 @@ def _coarse_sets(
     lo: np.ndarray,
     hi: np.ndarray,
     tol: float,
-    max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """PDAS start sets from the solution on the half-size grid, or None.
 
@@ -254,7 +255,7 @@ def _coarse_sets(
         return None
     coarse_operator, restrict, prolong = operator.coarse_level
     x_coarse, _, _ = _pdas_solve(coarse_operator, restrict @ b, restrict @ lo,
-                                 restrict @ hi, tol, max_iter)
+                                 restrict @ hi, tol)
     return _sets_of_state(operator, b, lo, hi, prolong @ x_coarse)
 
 
@@ -271,13 +272,13 @@ def _sets_of_state(
 
 
 def _pdas_starts(operator: AssembledOperator, b: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray, tol: float, max_iter: int, near: np.ndarray | None,
+                 hi: np.ndarray, tol: float, near: np.ndarray | None,
                  ) -> Iterator[tuple[str, tuple[np.ndarray, np.ndarray]]]:
     """(name, start sets) of each PDAS start in the order tried. A generator,
     so the coarse solve runs only when the near start is missing or cycled."""
     if near is not None:
         yield "near", _sets_of_state(operator, b, lo, hi, near)
-    coarse = _coarse_sets(operator, b, lo, hi, tol, max_iter)
+    coarse = _coarse_sets(operator, b, lo, hi, tol)
     if coarse is not None:
         yield "coarse", coarse
     yield "cold", (np.zeros(b.size, dtype=bool), np.zeros(b.size, dtype=bool))
@@ -289,7 +290,6 @@ def _pdas_solve(
     lo: np.ndarray,
     hi: np.ndarray,
     tol: float,
-    max_iter: int,
     near: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, float]:
     """PDAS on the operator's grid from the first start that does not cycle.
@@ -305,17 +305,14 @@ def _pdas_solve(
     residual).
     """
     path, iterations, sweeps = [], 0, 0
-    for name, start in _pdas_starts(operator, b, lo, hi, tol, max_iter, near):
+    for name, start in _pdas_starts(operator, b, lo, hi, tol, near):
         path.append(name)
-        x, steps, err, cycled = _pdas_bounds(operator, b, lo, hi, tol, max_iter, start)
+        x, steps, err, cycled = _pdas_bounds(operator, b, lo, hi, tol, start)
         iterations += steps
         if not cycled:
             break
     else:
-        x, sweeps, err = _psor_bounds(
-            operator.matrix, b, lo, hi, operator.grid.checkerboard(), x,
-            1.0, 0.01 * tol, SOLVER_DEFAULTS["psor"][1], natural_scale(operator.grid),
-        )
+        x, sweeps, err = _psor_bounds(operator, b, lo, hi, x, 1.0, 0.01 * tol)
     log.debug("pdas grid=%s seed=%s set_iterations=%d psor_sweeps=%d",
               "x".join(map(str, operator.grid.shape)), ">".join(path),
               iterations, sweeps)
@@ -327,24 +324,19 @@ def solve_vi_bounds(
     b: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    tol: float | None = None,
+    tol: float,
 ) -> tuple[np.ndarray, int, float]:
     """Projected SOR for the box-constrained VI with general (possibly
     infinite) bounds, from the projection of 0.
 
     The PSOR backend of solve_bop(method="psor") and of the critical-cone
-    problems, whose bounds mix 0 and +-inf. Relaxation PSOR_RELAXATION;
-    tolerance and iteration cap default to SOLVER_DEFAULTS["psor"]. Returns
-    (x, sweeps, residual).
+    problems, whose bounds mix 0 and +-inf. Relaxation PSOR_RELAXATION,
+    iteration cap SOLVER_DEFAULTS["psor"]. Returns (x, sweeps, residual).
     """
-    default_tol, max_iter = SOLVER_DEFAULTS["psor"]
-    grid = operator.grid
-    start = np.clip(np.zeros(grid.total), lo, hi)
+    start = np.clip(np.zeros(operator.grid.total), lo, hi)
     if not np.isfinite(start).all():
         raise InfeasibleObstacles("no finite starting point inside the bounds")
-    return _psor_bounds(operator.matrix, b, lo, hi, grid.checkerboard(), start,
-                        PSOR_RELAXATION, default_tol if tol is None else tol,
-                        max_iter, natural_scale(grid))
+    return _psor_bounds(operator, b, lo, hi, start, PSOR_RELAXATION, tol)
 
 
 def solve_bop(
@@ -375,8 +367,7 @@ def solve_bop(
         raise GridMismatch("control iterate lives on a different grid")
     if method not in SOLVER_DEFAULTS:
         raise ValueError(f"method must be 'psor' or 'pdas', got {method!r}")
-    default_tol, max_iter = SOLVER_DEFAULTS[method]
-    tol = default_tol if tol is None else tol
+    tol = SOLVER_DEFAULTS[method][0] if tol is None else tol
     if problem.obstacles.separation <= 2.0 * tol:
         raise InfeasibleObstacles(
             f"obstacle separation {problem.obstacles.separation:.3e} "
@@ -389,7 +380,7 @@ def solve_bop(
     b = problem.load(u)
     psi, phi = problem.obstacles.psi, problem.obstacles.phi
     if method == "pdas":
-        y, iters, err = _pdas_solve(problem.operator, b, psi, phi, tol, max_iter,
+        y, iters, err = _pdas_solve(problem.operator, b, psi, phi, tol,
                                     None if near is None else near.y.values)
     else:
         y, iters, err = solve_vi_bounds(problem.operator, b, psi, phi, tol)
@@ -402,37 +393,6 @@ def solve_bop(
         solver=method,
         iterations=iters,
         residual_norm=err,
-    )
-
-
-def solve_bop_with_obstacles(
-    problem: BopProblem,
-    u: GridFunction,
-    psi_override: np.ndarray,
-) -> BopSolution:
-    """Solve with the lower obstacle replaced; the pair must stay separated."""
-    swapped = BopProblem(
-        operator=problem.operator,
-        control=problem.control,
-        obstacles=ObstaclePair(problem.grid, np.asarray(psi_override, dtype=float),
-                               problem.obstacles.phi),
-    )
-    return solve_bop(swapped, u)
-
-
-def reflect_problem(problem: BopProblem) -> BopProblem:
-    """Mirror problem: obstacles (-phi, -psi), same operator.
-
-    Every control map is odd (f(-u) = -f(u), bit for bit), so solving the
-    reflected problem at control -u gives exactly -y, with the roles of the
-    two obstacles (and their active sets) exchanged.
-    """
-    return BopProblem(
-        operator=problem.operator,
-        control=problem.control,
-        obstacles=ObstaclePair(
-            problem.grid, -problem.obstacles.phi, -problem.obstacles.psi
-        ),
     )
 
 

@@ -31,7 +31,7 @@ def unit_grid(n: int, dim: int = 2) -> Grid:
 
 
 def smooth_field(grid: Grid, rng: np.random.Generator,
-                 amplitude: float = 1.0) -> GridFunction:
+                 amplitude: float) -> GridFunction:
     """Random combination of three low-frequency Dirichlet sine modes."""
     coords = grid.coordinates()
     values = np.zeros(grid.total)

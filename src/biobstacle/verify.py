@@ -8,6 +8,9 @@ budgets are enforced by the callers that care (the test suite), not here.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from dataclasses import replace
+
 import numpy as np
 
 from . import problems
@@ -18,17 +21,18 @@ from .derivatives import (
     generalized_derivative,
     mosco_convergence_experiment,
 )
+from .grid import Grid
 from .multipliers import (
     EPS_ACTIVE,
     EPS_MULT,
     classify_sets,
+    mirror_check,
     node_flags,
+    pair_inclusion_violations,
     pairing_identity_gap,
-    reflection_swap_mismatches,
     split_multiplier,
-    verify_strict_set_monotonicity,
 )
-from .obstacle import reflect_problem, solve_bop, solve_bop_with_obstacles
+from .obstacle import BopSolution, ObstaclePair, solve_bop
 from .oracle import solve_by_enumeration
 from .radial_series import (
     RingConfig,
@@ -49,6 +53,8 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 def criterion_1(seed: int) -> dict:
     """PSOR and PDAS against the exhaustive 1D complementarity-pattern oracle."""
     rng = _rng(seed, 1)
+    solve_tol = 1e-10
+    tol = 1e-8
     worst_y = 0.0
     pattern_mismatches = 0
     for _ in range(20):
@@ -57,8 +63,8 @@ def criterion_1(seed: int) -> dict:
         problem, u = problems.random_instance(grid, rng)
         reference = solve_by_enumeration(problem, u)
         ref_flags = node_flags(classify_sets(reference))
-        for method, tol in (("psor", 1e-10), ("pdas", 1e-10)):
-            sol = solve_bop(problem, u, method=method, tol=tol)
+        for method in ("psor", "pdas"):
+            sol = solve_bop(problem, u, method=method, tol=solve_tol)
             worst_y = max(worst_y, float(np.abs(sol.y.values - reference.y.values).max()))
             flags = node_flags(classify_sets(sol))
             pattern_mismatches += int((flags != ref_flags).sum())
@@ -68,9 +74,19 @@ def criterion_1(seed: int) -> dict:
         "instances": 20,
         "worst_y_gap": worst_y,
         "pattern_mismatches": pattern_mismatches,
-        "tolerance": 1e-8,
-        "passed": bool(worst_y <= 1e-8 and pattern_mismatches == 0),
+        "tolerance": tol,
+        "passed": bool(worst_y <= tol and pattern_mismatches == 0),
     }
+
+
+def _solved_pairs(grid: Grid, rng: np.random.Generator,
+                  ) -> Iterator[tuple[BopSolution, BopSolution]]:
+    """50 solved monotone control pairs (sol_hi, sol_lo), each on a fresh
+    random instance; u_hi is solved before u_lo."""
+    for _ in range(50):
+        problem, _ = problems.random_instance(grid, rng)
+        u_hi, u_lo = problems.monotone_control_pair(grid, rng)
+        yield solve_bop(problem, u_hi), solve_bop(problem, u_lo)
 
 
 def criterion_2(seed: int) -> dict:
@@ -80,40 +96,33 @@ def criterion_2(seed: int) -> dict:
     tol = 1e-10
 
     worst_state_u = -np.inf       # max of y_lo - y_hi, should stay <= tol
-    for _ in range(50):
-        problem, _ = problems.random_instance(grid, rng)
-        u_hi, u_lo = problems.monotone_control_pair(grid, rng)
-        y_hi = solve_bop(problem, u_hi).y.values
-        y_lo = solve_bop(problem, u_lo).y.values
-        worst_state_u = max(worst_state_u, float((y_lo - y_hi).max()))
+    for sol_hi, sol_lo in _solved_pairs(grid, rng):
+        worst_state_u = max(worst_state_u, float((sol_lo.y.values - sol_hi.y.values).max()))
 
     worst_state_psi = -np.inf     # raising psi must not lower the state
     for _ in range(50):
         problem, u = problems.random_instance(grid, rng)
-        raised = problems.monotone_obstacle_pair(problem, rng)
+        raised = replace(problem, obstacles=problems.monotone_obstacle_pair(problem, rng))
         y_orig = solve_bop(problem, u).y.values
-        y_raised = solve_bop_with_obstacles(problem, u, psi_override=raised.psi).y.values
+        y_raised = solve_bop(raised, u).y.values
         worst_state_psi = max(worst_state_psi, float((y_orig - y_raised).max()))
 
     inclusion_violations = 0
     reflection_mismatches = 0
-    for _ in range(50):
-        problem, _ = problems.random_instance(grid, rng)
-        u_hi, u_lo = problems.monotone_control_pair(grid, rng)
-        report = verify_strict_set_monotonicity(problem, u_hi, u_lo)
-        inclusion_violations += sum(
-            report[k] for k in ("lower_active_shrinks", "upper_active_grows",
-                                "lower_strict_shrinks", "upper_strict_grows")
-        )
-        reflection_mismatches += report.get("reflection_swap_mismatches", 0)
+    for sol_hi, sol_lo in _solved_pairs(grid, rng):
+        part_hi = classify_sets(sol_hi)
+        part_lo = classify_sets(sol_lo)
+        inclusion_violations += sum(pair_inclusion_violations(part_hi, part_lo).values())
+        # every control map is odd, so the mirror would hold for the other
+        # kind too; it is kept to identity draws because it costs two more
+        # solves per pair
+        if sol_hi.problem.control.kind == "identity":
+            reflection_mismatches += (mirror_check(sol_hi, part_hi)[1]
+                                      + mirror_check(sol_lo, part_lo)[1])
 
     worst_multiplier = -np.inf    # xi_hi - xi_lo on shared contact, <= tol
     shared_contact_nodes = 0
-    for _ in range(50):
-        problem, _ = problems.random_instance(grid, rng)
-        u_hi, u_lo = problems.monotone_control_pair(grid, rng)
-        sol_hi = solve_bop(problem, u_hi)
-        sol_lo = solve_bop(problem, u_lo)
+    for sol_hi, sol_lo in _solved_pairs(grid, rng):
         part_hi = classify_sets(sol_hi)
         part_lo = classify_sets(sol_lo)
         shared = (part_hi.lower & part_lo.lower) | (part_hi.upper & part_lo.upper)
@@ -148,6 +157,7 @@ def criterion_3(seed: int) -> dict:
     """Lowering psi off the multiplier-carrying lower set leaves y unchanged."""
     rng = _rng(seed, 3)
     grid = problems.unit_grid(16, dim=2)
+    tol = 1e-9
     worst = 0.0
     lowered_nodes = 0
     for _ in range(20):
@@ -159,7 +169,8 @@ def criterion_3(seed: int) -> dict:
         v = np.abs(problems.smooth_field(grid, rng, amplitude=span).values)
         v[carrying] = 0.0
         lowered_nodes += int((v > 0).sum())
-        sol_new = solve_bop_with_obstacles(problem, u, psi_override=pair.psi - v)
+        lowered = replace(problem, obstacles=ObstaclePair(grid, pair.psi - v, pair.phi))
+        sol_new = solve_bop(lowered, u)
         worst = max(worst, float(np.abs(sol_new.y.values - sol.y.values).max()))
     return {
         "criterion": 3,
@@ -167,8 +178,8 @@ def criterion_3(seed: int) -> dict:
         "instances": 20,
         "lowered_nodes": lowered_nodes,
         "worst_state_change": worst,
-        "tolerance": 1e-9,
-        "passed": bool(worst <= 1e-9 and lowered_nodes > 0),
+        "tolerance": tol,
+        "passed": bool(worst <= tol and lowered_nodes > 0),
     }
 
 
@@ -176,24 +187,23 @@ def criterion_4(seed: int) -> dict:
     """Mirrored problem solves to the negated state with swapped contact sets."""
     rng = _rng(seed, 4)
     grid = problems.unit_grid(16, dim=2)
+    tol = 1e-10
     worst = 0.0
     swap_mismatches = 0
     for _ in range(20):
         problem, u = problems.random_instance(grid, rng, control_kinds=("identity",))
         sol = solve_bop(problem, u)
-        mirrored = reflect_problem(problem)
-        sol_m = solve_bop(mirrored, u.with_values(-u.values))
-        worst = max(worst, float(np.abs(sol_m.y.values + sol.y.values).max()))
-        swap_mismatches += reflection_swap_mismatches(classify_sets(sol),
-                                                      classify_sets(sol_m))
+        gap, mismatches = mirror_check(sol, classify_sets(sol))
+        worst = max(worst, gap)
+        swap_mismatches += mismatches
     return {
         "criterion": 4,
         "name": "reflection_symmetry",
         "instances": 20,
         "worst_state_gap": worst,
         "swap_mismatches": swap_mismatches,
-        "tolerance": 1e-10,
-        "passed": bool(worst <= 1e-10 and swap_mismatches == 0),
+        "tolerance": tol,
+        "passed": bool(worst <= tol and swap_mismatches == 0),
     }
 
 
@@ -201,6 +211,7 @@ def criterion_5(seed: int) -> dict:
     """Multiplier split exactness, pairing identity, support conditions."""
     rng = _rng(seed, 5)
     grid = problems.unit_grid(16, dim=2)
+    tol = 1e-8
     split_defect = 0.0
     worst_pairing = 0.0
     support_violations = 0
@@ -226,9 +237,9 @@ def criterion_5(seed: int) -> dict:
         "split_defect": split_defect,
         "worst_pairing_gap": worst_pairing,
         "support_violations": support_violations,
-        "tolerance": 1e-8,
+        "tolerance": tol,
         "passed": bool(
-            split_defect == 0.0 and worst_pairing <= 1e-8 and support_violations == 0
+            split_defect == 0.0 and worst_pairing <= tol and support_violations == 0
         ),
     }
 
@@ -237,6 +248,7 @@ def criterion_6(seed: int) -> dict:
     """Cone-VI and reduced-system derivatives agree under strict
     complementarity; one-sided FD quotients converge at first order."""
     inst = problems.derivative_instance(problems.unit_grid(32, dim=2))
+    tol = 1e-9
     problem, u, h = inst["problem"], inst["u"], inst["h"]
     sol = solve_bop(problem, u)
     part = classify_sets(sol)
@@ -268,9 +280,9 @@ def criterion_6(seed: int) -> dict:
         "agreement_minus": agreement_minus,
         "fd_errors": errors,
         "fd_order": order,
-        "tolerance": 1e-9,
+        "tolerance": tol,
         "passed": bool(
-            agreement_plus <= 1e-9 and agreement_minus <= 1e-9 and order >= 0.9
+            agreement_plus <= tol and agreement_minus <= tol and order >= 0.9
         ),
     }
 
@@ -281,6 +293,7 @@ def criterion_7(seed: int) -> dict:
     inst = problems.mosco_instance(problems.unit_grid(32, dim=2))
     problem, u, h, e = inst["problem"], inst["u"], inst["h"], inst["e"]
     schedule = (2, 4, 8, 16, 32, 64, 128, 256)
+    tol = 1e-4
 
     sol = solve_bop(problem, u)
     part = classify_sets(sol)
@@ -303,10 +316,10 @@ def criterion_7(seed: int) -> dict:
         "errors_lower": [s["error"] for s in runs["lower"]["steps"]],
         "errors_upper": [s["error"] for s in runs["upper"]["steps"]],
         "side_gap": side_gap,
-        "tolerance": 1e-4,
+        "tolerance": tol,
         "passed": bool(
-            runs["lower"]["final_error"] <= 1e-4
-            and runs["upper"]["final_error"] <= 1e-4
+            runs["lower"]["final_error"] <= tol
+            and runs["upper"]["final_error"] <= tol
             and runs["lower"]["errors_nonincreasing_tail"]
             and runs["upper"]["errors_nonincreasing_tail"]
             and side_gap > 1e-3
@@ -321,6 +334,8 @@ def criterion_8(seed: int) -> dict:
     inst = problems.control_instance(problems.unit_grid(32, dim=2), rng)
     problem, cp = inst["problem"], inst["control_problem"]
     grid = problem.grid
+    tol_identity = 1e-12
+    tol_cd = 1e-4
 
     worst_adjoint = 0.0
     worst_cd = 0.0
@@ -362,12 +377,12 @@ def criterion_8(seed: int) -> dict:
         "descent_steps": len(objectives),
         "descent_strictly_decreasing": strict_decrease,
         "descent_termination": trace.termination,
-        "tolerance_identity": 1e-12,
-        "tolerance_cd": 1e-4,
+        "tolerance_identity": tol_identity,
+        "tolerance_cd": tol_cd,
         "passed": bool(
-            worst_adjoint <= 1e-12
+            worst_adjoint <= tol_identity
             and weak_nodes == 0
-            and worst_cd <= 1e-4
+            and worst_cd <= tol_cd
             and strict_decrease
             and len(objectives) >= 50
             and trace.termination == "max_steps"

@@ -37,7 +37,7 @@ def test_profile_values_frozen():
 
 
 def test_profiles_are_odd_with_unit_slope_floor():
-    # bitwise odd: reflect_problem relies on f(-u) == -f(u) exactly
+    # bitwise odd: multipliers.mirror_check relies on f(-u) == -f(u) exactly
     t = np.linspace(-50, 50, 100_001)
     for name, (fn, deriv) in PROFILES.items():
         assert np.array_equal(fn(-t), -fn(t))

@@ -91,16 +91,16 @@ def test_spec_validation():
 
 
 def test_grid_geometry():
-    grid = Grid((3, 4), extent=((0.0, 1.0), (0.0, 2.0)))
-    assert grid.spacing == (0.25, 0.4)
-    assert grid.mass == pytest.approx(0.1)
+    grid = Grid((3, 4))
+    assert grid.spacing == (0.25, 0.2)
+    assert grid.mass == pytest.approx(0.05)
     coords = grid.coordinates()
     assert coords.shape == (12, 2)
     # node 0 is the first interior node of both axes
-    np.testing.assert_allclose(coords[0], [0.25, 0.4])
+    np.testing.assert_allclose(coords[0], [0.25, 0.2])
     # x runs fastest
-    np.testing.assert_allclose(coords[1], [0.50, 0.4])
-    np.testing.assert_allclose(coords[3], [0.25, 0.8])
+    np.testing.assert_allclose(coords[1], [0.50, 0.2])
+    np.testing.assert_allclose(coords[3], [0.25, 0.4])
 
 
 def test_grid_validation():
@@ -108,8 +108,6 @@ def test_grid_validation():
         Grid((0,))
     with pytest.raises(InvalidSpec):
         Grid((2, 2, 2))
-    with pytest.raises(InvalidSpec):
-        Grid((3,), extent=((1.0, 0.0),))
 
 
 def test_grid_function_checks_shape():
@@ -173,15 +171,14 @@ def test_mass_norm_constant_function():
     )
 
 
-@given(nx=st.integers(2, 40), ny=st.integers(2, 40), width=st.floats(0.5, 3.0))
+@given(nx=st.integers(2, 40), ny=st.integers(2, 40))
 @settings(max_examples=40, deadline=None)
-def test_restriction_is_exact_for_bilinear_functions(nx, ny, width):
+def test_restriction_is_exact_for_bilinear_functions(nx, ny):
     """Fine-to-half-size interpolation: every coarse node lies strictly
     inside the fine nodes' hull, so each row is a convex combination and
     x*y (bilinear) is reproduced at the coarse nodes."""
-    extent = ((0.0, width), (-1.0, 1.0))
-    fine = Grid((nx, ny), extent)
-    coarse = Grid((nx // 2 or 1, ny // 2 or 1), extent)
+    fine = Grid((nx, ny))
+    coarse = Grid((nx // 2 or 1, ny // 2 or 1))
     restrict = interpolation(fine, coarse)
     assert restrict.shape == (coarse.total, fine.total)
     assert restrict.data.min() > 0.0
@@ -219,5 +216,3 @@ def test_restricted_obstacles_stay_apart():
 def test_interpolation_refuses_mismatched_grids():
     with pytest.raises(GridMismatch):
         interpolation(Grid((8, 8)), Grid((4,)))
-    with pytest.raises(GridMismatch):
-        interpolation(Grid((8,)), Grid((4,), extent=((0.0, 2.0),)))

@@ -8,15 +8,16 @@ from biobstacle import (
     EPS_MULT,
     classify_sets,
     directional_derivative,
+    mirror_check,
     node_flags,
+    pair_inclusion_violations,
     pairing_identity_gap,
     solve_bop,
     solve_vi_bounds,
     split_multiplier,
-    verify_strict_set_monotonicity,
 )
 from biobstacle import derivatives, multipliers
-from biobstacle.errors import ComplementarityViolated, InvalidD, NotMonotonePair
+from biobstacle.errors import ComplementarityViolated, InvalidD
 from biobstacle.obstacle import BopSolution
 from biobstacle.problems import (
     biactive_instance,
@@ -196,16 +197,13 @@ def test_strict_set_monotonicity_on_random_pairs():
     for _ in range(8):
         problem, _ = random_instance(grid, rng)
         u_hi, u_lo = monotone_control_pair(grid, rng)
-        report = verify_strict_set_monotonicity(problem, u_hi, u_lo)
-        assert report["ok"], report
-        checked_reflection += int(report["reflection_checked"])
+        assert (u_hi.values >= u_lo.values).all()
+        sol_hi, sol_lo = solve_bop(problem, u_hi), solve_bop(problem, u_lo)
+        part_hi, part_lo = classify_sets(sol_hi), classify_sets(sol_lo)
+        report = pair_inclusion_violations(part_hi, part_lo)
+        assert not any(report.values()), report
+        if problem.control.kind == "identity":
+            assert mirror_check(sol_hi, part_hi)[1] == 0
+            assert mirror_check(sol_lo, part_lo)[1] == 0
+            checked_reflection += 1
     assert checked_reflection >= 1  # identity-control draws exercise the cross-check
-
-
-def test_monotonicity_guard_rejects_unordered_pair():
-    rng = np.random.default_rng(9)
-    grid = unit_grid(8, dim=2)
-    problem, _ = random_instance(grid, rng)
-    u_hi, u_lo = monotone_control_pair(grid, rng)
-    with pytest.raises(NotMonotonePair):
-        verify_strict_set_monotonicity(problem, u_lo, u_hi)

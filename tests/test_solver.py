@@ -5,6 +5,7 @@ problems and is the ground truth here; PSOR and PDAS must reproduce it.
 The larger 2D checks then play the two solvers against each other.
 """
 
+from dataclasses import replace
 import logging
 import math
 
@@ -19,10 +20,8 @@ from biobstacle import (
     ObstaclePair,
     OperatorSpec,
     assemble,
-    reflect_problem,
     solution_residual,
     solve_bop,
-    solve_bop_with_obstacles,
     solve_by_enumeration,
     solve_vi_bounds,
 )
@@ -33,7 +32,7 @@ from biobstacle.errors import (
     NoConvergence,
 )
 from biobstacle.grid import OPERATOR_KINDS, AssembledOperator, natural_scale
-from biobstacle.multipliers import classify_sets, node_flags
+from biobstacle.multipliers import EPS_ACTIVE, classify_sets, mirror_check, node_flags
 from biobstacle.obstacle import COARSE_MIN, _pdas_bounds, _residual
 from biobstacle.problems import (
     monotone_control_pair,
@@ -120,8 +119,7 @@ def _pinch(problem, node, t):
     psi, phi = problem.obstacles.psi, problem.obstacles.phi.copy()
     top = max(1e-2 * float(phi.max() - psi.min()), 1e-9)
     phi[node] = psi[node] + 1e-9 * (top / 1e-9) ** t
-    return BopProblem(operator=problem.operator, control=problem.control,
-                      obstacles=ObstaclePair(problem.grid, psi, phi))
+    return replace(problem, obstacles=ObstaclePair(problem.grid, psi, phi))
 
 
 @given(
@@ -272,7 +270,7 @@ def test_seeded_pdas_matches_cold(caplog, n, operator_kind, control_kind):
     psi, phi = problem.obstacles.psi, problem.obstacles.phi
     empty = np.zeros(grid.total, dtype=bool)
     cold, cold_iterations, _, cycled = _pdas_bounds(
-        problem.operator, problem.load(u), psi, phi, 1e-10, 200, (empty, empty))
+        problem.operator, problem.load(u), psi, phi, 1e-10, (empty, empty))
     assert not cycled
     assert np.abs(sol.y.values - cold).max() <= 1e-8
     assert solution_residual(sol) <= 1e-10
@@ -413,20 +411,36 @@ def test_raising_lower_obstacle_raises_state():
     pair = problem.obstacles
     lifted = pair.psi + 0.25 * (pair.phi - pair.psi)
     y = solve_bop(problem, u).y.values
-    y_lifted = solve_bop_with_obstacles(problem, u, psi_override=lifted).y.values
+    raised = replace(problem, obstacles=ObstaclePair(grid, lifted, pair.phi))
+    y_lifted = solve_bop(raised, u).y.values
     assert (y - y_lifted).max() <= 1e-10
     assert (y_lifted >= lifted - 1e-10).all()
 
 
 @pytest.mark.parametrize("control_kind", CONTROL_KINDS)
 def test_reflection_is_bitwise_negation(control_kind):
+    """A float sum is exactly 0 only where y_mirror is -y bit for bit."""
     rng = np.random.default_rng(17)
     grid = unit_grid(9, dim=2)
     problem, u = random_instance(grid, rng, control_kinds=(control_kind,))
     sol = solve_bop(problem, u)
-    mirrored = reflect_problem(problem)
-    sol_m = solve_bop(mirrored, u.with_values(-u.values))
-    assert (sol_m.y.values == -sol.y.values).all()
+    assert mirror_check(sol, classify_sets(sol)) == (0.0, 0)
+
+
+@pytest.mark.parametrize("control_kind", CONTROL_KINDS)
+def test_reflection_swaps_contact_where_the_obstacles_nearly_touch(control_kind):
+    """In a band narrower than 2*EPS_ACTIVE the state is within EPS_ACTIVE of
+    both obstacles; the contact rule picks the strictly nearer one, and the
+    mirror must still swap every mask."""
+    rng = np.random.default_rng(19)
+    grid = unit_grid(9, dim=2)
+    problem, u = random_instance(grid, rng, control_kinds=(control_kind,))
+    node = grid.total // 2
+    problem = _pinch(problem, node, 0.0)
+    sol = solve_bop(problem, u)
+    y = sol.y.values[node]
+    assert max(y - problem.obstacles.psi[node], problem.obstacles.phi[node] - y) <= EPS_ACTIVE
+    assert mirror_check(sol, classify_sets(sol)) == (0.0, 0)
 
 
 def test_obstacle_pair_validation():

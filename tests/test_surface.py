@@ -1,4 +1,5 @@
-"""Every public name in the package has a use outside tests.
+"""Every public name in the package has a use outside tests, and every
+name a package module imports is used in that module.
 
 Walks the syntax trees of src/, demos/ and perfbench/. Each public
 top-level function and class of src/biobstacle, and each public method and
@@ -92,3 +93,30 @@ def test_every_public_name_is_used_outside_tests():
                    for used, where, line in pool):
             unused.append(name)
     assert unused == [], f"public names that only tests reach: {unused}"
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import of a module -> line of the import;
+    ``from __future__`` imports bind nothing."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name.split(".")[0], node.lineno)
+                         for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update((a.asname or a.name, node.lineno) for a in node.names)
+    return names
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """Deleting a function must not leave its imports behind. The package's
+    __init__.py imports in order to re-export and is skipped."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in _imported_names(tree).items() if name not in used]
+    assert unused == [], f"imports that the module never uses: {unused}"
