@@ -53,7 +53,6 @@ from .obstacle import (
 )
 from .oracle import solve_by_enumeration
 from .problems import (
-    biactive_instance,
     invert_profile,
     manufactured_instance,
     mode_field,
@@ -61,7 +60,6 @@ from .problems import (
     monotone_obstacle_pair,
     random_instance,
     smooth_field,
-    strict_instance,
     unit_grid,
 )
 from .radial_series import (

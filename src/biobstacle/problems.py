@@ -237,17 +237,9 @@ def manufactured_instance(grid: Grid, biactive: bool = False) -> dict:
     }
 
 
-def strict_instance(grid: Grid) -> dict:
-    return manufactured_instance(grid, biactive=False)
-
-
-def biactive_instance(grid: Grid) -> dict:
-    return manufactured_instance(grid, biactive=True)
-
-
 def derivative_instance(grid: Grid, amplitude: float = 50.0) -> dict:
     """Strict-contact instance plus the mode-field probe direction "h"."""
-    inst = strict_instance(grid)
+    inst = manufactured_instance(grid)
     inst["h"] = mode_field(grid, amplitude)
     return inst
 
@@ -255,7 +247,7 @@ def derivative_instance(grid: Grid, amplitude: float = 50.0) -> dict:
 def mosco_instance(grid: Grid) -> dict:
     """Biactive instance plus the probe "h" and the control perturbation
     "e" = 5 of the Mosco schedule u_n = u -+ e/n."""
-    inst = biactive_instance(grid)
+    inst = manufactured_instance(grid, biactive=True)
     inst["h"] = mode_field(grid, 50.0)
     inst["e"] = grid.constant(5.0)
     return inst
@@ -267,7 +259,7 @@ def control_instance(grid: Grid, rng: np.random.Generator) -> dict:
     The target is y* minus a smooth field, drawn from rng, whose peak is ten
     times that of y*.
     """
-    inst = strict_instance(grid)
+    inst = manufactured_instance(grid)
     y_amp = float(np.abs(inst["y_star"].values).max())
     y_target = grid.function(
         inst["y_star"].values

@@ -341,6 +341,12 @@ def criterion_8(seed: int) -> dict:
     worst_cd = 0.0
     weak_nodes = 0
     t = 1e-3
+
+    def central(u, sol, w, step):
+        plus = solve_bop(problem, u.with_values(u.values + step * w.values), near=sol)
+        minus = solve_bop(problem, u.with_values(u.values - step * w.values), near=sol)
+        return (objective(cp, plus) - objective(cp, minus)) / (2.0 * step)
+
     for _ in range(10):
         u = problems.perturbed_control(inst, rng)
         sol = solve_bop(problem, u)
@@ -355,10 +361,10 @@ def criterion_8(seed: int) -> dict:
             worst_adjoint = max(worst_adjoint, abs(lhs - rhs))
         for _ in range(2):
             w = problems.smooth_field(grid, rng, amplitude=1.0)
-            u_plus = u.with_values(u.values + t * w.values)
-            u_minus = u.with_values(u.values - t * w.values)
-            cd = (objective(cp, solve_bop(problem, u_plus, near=sol))
-                  - objective(cp, solve_bop(problem, u_minus, near=sol))) / (2.0 * t)
+            # Richardson extrapolation cancels the O(t^2) truncation of the
+            # central difference, which would otherwise dominate the relative
+            # error where g.w is near zero (seed 27: 2e-13, error 1.2e-4)
+            cd = (4.0 * central(u, sol, w, t / 2) - central(u, sol, w, t)) / 3.0
             directional = float(sub.g.values @ w.values)
             worst_cd = max(worst_cd, abs(directional - cd) / max(abs(cd), 1e-300))
 

@@ -131,6 +131,14 @@ def test_criterion_08_adjoint_subgradient(acceptance):
     assert result["passed"]
 
 
+def test_criterion_08_passes_at_seed_27():
+    """Seed 27 draws a direction with g.w ~ 2e-13, where a plain central
+    difference's O(t^2) truncation alone exceeds the relative tolerance."""
+    result = verify.criterion_8(27)
+    assert result["worst_cd_relative_error"] <= result["tolerance_cd"]
+    assert result["passed"]
+
+
 def test_criterion_09_ring_series(acceptance):
     result = acceptance["criteria"][9]
     _line(result)

@@ -28,12 +28,12 @@ from biobstacle import derivatives
 from biobstacle.derivatives import reduced_linear_solve
 from biobstacle.errors import InvalidD
 from biobstacle.obstacle import _reduced_solve
-from biobstacle.problems import biactive_instance, mode_field, strict_instance, unit_grid
+from biobstacle.problems import manufactured_instance, mode_field, unit_grid
 
 
 @pytest.fixture(scope="module")
 def strict_setup():
-    inst = strict_instance(unit_grid(20, dim=2))
+    inst = manufactured_instance(unit_grid(20, dim=2))
     sol = solve_bop(inst["problem"], inst["u"])
     part = classify_sets(sol)
     return inst, sol, part
@@ -41,7 +41,7 @@ def strict_setup():
 
 @pytest.fixture(scope="module")
 def biactive_setup():
-    inst = biactive_instance(unit_grid(20, dim=2))
+    inst = manufactured_instance(unit_grid(20, dim=2), biactive=True)
     sol = solve_bop(inst["problem"], inst["u"])
     part = classify_sets(sol)
     return inst, sol, part

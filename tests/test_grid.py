@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from biobstacle import (
@@ -21,7 +22,7 @@ from biobstacle import (
     natural_scale,
 )
 from biobstacle.errors import GridMismatch, InvalidSpec
-from biobstacle.grid import _check_two_coloring, interpolation
+from biobstacle.grid import OPERATOR_KINDS, interpolation
 from biobstacle.problems import random_instance, unit_grid
 
 
@@ -87,6 +88,12 @@ def test_spec_validation():
     with pytest.raises(InvalidSpec):
         OperatorSpec("mystery")
     with pytest.raises(InvalidSpec):
+        OperatorSpec("laplacian_plus_reaction", reaction=math.nan)
+    with pytest.raises(InvalidSpec):
+        OperatorSpec("laplacian_plus_convection", convection=(math.nan, 0.0))
+    with pytest.raises(InvalidSpec):
+        OperatorSpec("laplacian_plus_convection", convection=(0.0, math.inf))
+    with pytest.raises(InvalidSpec):
         assemble(Grid((3, 3)), OperatorSpec("laplacian_plus_convection", convection=(1.0,)))
 
 
@@ -122,36 +129,79 @@ def test_grid_function_immutable():
         f.values[0] = 5.0
 
 
-@given(nx=st.integers(1, 9), ny=st.integers(1, 9))
-@settings(max_examples=40, deadline=None)
-def test_checkerboard_partitions_and_decouples(nx, ny):
-    """Red/black is a partition and the 5-point stencil never couples
-    same-color nodes (the property projected SOR sweeps rely on)."""
+@given(nx=st.integers(1, 9), ny=st.integers(1, 9),
+       kind=st.sampled_from(OPERATOR_KINDS),
+       reaction=st.floats(0.0, 2.0),
+       peclet=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+@settings(max_examples=60, deadline=None)
+def test_checkerboard_partitions_and_decouples(nx, ny, kind, reaction, peclet):
+    """Red/black is a partition, and every admissible operator is an
+    M-matrix (positive diagonal, nonpositive off-diagonals, weak diagonal
+    dominance up to roundoff) whose 5-point stencil never couples
+    same-color nodes (the property projected SOR sweeps rely on).
+    peclet scales the velocity up to the mesh-Peclet bound 2/h per axis."""
     grid = Grid((nx, ny))
     red, black = grid.checkerboard()
     both = np.concatenate([red, black])
     assert np.array_equal(np.sort(both), np.arange(grid.total))
-    matrix = assemble(grid, OperatorSpec("laplacian")).matrix
+    spec = OperatorSpec(
+        kind,
+        reaction=0.0 if kind == "laplacian" else reaction,
+        convection=(tuple(p * 2.0 / h for p, h in zip(peclet, grid.spacing))
+                    if kind == "laplacian_plus_convection" else None),
+    )
+    matrix = assemble(grid, spec).matrix
+    dense = matrix.toarray()
+    diag = np.diag(dense)
+    off = dense - np.diag(diag)
+    assert diag.min() > 0.0
+    assert off.max() <= 1e-14 * diag.max()
+    slack = diag - np.abs(off).sum(axis=1)
+    assert slack.min() >= -1e-10 * diag.max()
     for color in (red, black):
-        sub = matrix[color][:, color].toarray()
-        np.testing.assert_allclose(sub - np.diag(np.diag(sub)), 0.0)
+        np.testing.assert_array_equal(off[np.ix_(color, color)], 0.0)
 
 
-@pytest.mark.parametrize("shape", [(7,), (6, 5)])
-def test_same_color_coupling_is_refused(shape):
-    """The assembled operators pass the two-coloring check; one coupling
-    between diagonal neighbours (same parity) on top of the 5-point
-    stencil raises."""
+def _kron_reference(grid, spec):
+    """The operator as a Kronecker sum of 1D stencils with the reaction on
+    top, the construction assemble replaced."""
+    velocity = spec.convection or (0.0,) * grid.dim
+    axes = []
+    for n, h, b in zip(grid.shape, grid.spacing, velocity):
+        inv_h2 = 1.0 / (h * h)
+        axes.append(sp.diags([np.full(n - 1, -inv_h2 - b / (2.0 * h)),
+                              np.full(n, 2.0 * inv_h2),
+                              np.full(n - 1, -inv_h2 + b / (2.0 * h))],
+                             [-1, 0, 1], format="csr"))
+    matrix = axes[0]
+    if grid.dim == 2:
+        ix, iy = (sp.identity(n, format="csr") for n in grid.shape)
+        matrix = sp.kron(iy, axes[0], format="csr") + sp.kron(axes[1], ix, format="csr")
+    if spec.reaction:
+        matrix = (matrix + spec.reaction * sp.identity(grid.total, format="csr")).tocsr()
+    return matrix
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (1, 5), (5, 1), (6, 5), (32, 32)])
+def test_assembly_matches_kron_reference_bytes(shape):
+    """The stencil-diagonal construction reproduces the Kronecker sum to
+    the byte, transpose included, for every kind and at the exact
+    mesh-Peclet edge h*|b|/2 = 1 (where one neighbour's coupling is 0)."""
     grid = Grid(shape)
-    for spec in (OperatorSpec("laplacian"),
-                 OperatorSpec("laplacian_plus_reaction", reaction=1.0),
-                 OperatorSpec("laplacian_plus_convection",
-                              convection=(2.0,) * len(shape))):
-        _check_two_coloring(assemble(grid, spec).matrix, grid)
-    matrix = assemble(grid, OperatorSpec("laplacian")).matrix.tolil()
-    matrix[0, 2 if len(shape) == 1 else shape[0] + 1] = -1e-3
-    with pytest.raises(InvalidSpec, match="same-color"):
-        _check_two_coloring(matrix.tocsr(), grid)
+    edge = tuple(2.0 / h for h in grid.spacing)
+    specs = [
+        OperatorSpec("laplacian"),
+        OperatorSpec("laplacian_plus_reaction", reaction=1.7),
+        OperatorSpec("laplacian_plus_convection", convection=edge),
+        OperatorSpec("laplacian_plus_convection", reaction=0.3,
+                     convection=tuple(-0.6 * b for b in edge)),
+    ]
+    for spec in specs:
+        op = assemble(grid, spec)
+        reference = _kron_reference(grid, spec)
+        for got, want in ((op.matrix, reference), (op.adjoint_matrix, reference.T.tocsr())):
+            for attr in ("indptr", "indices", "data"):
+                assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), (spec, attr)
 
 
 @given(n=st.integers(2, 30))

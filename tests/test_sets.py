@@ -20,17 +20,16 @@ from biobstacle import derivatives, multipliers
 from biobstacle.errors import ComplementarityViolated, InvalidD
 from biobstacle.obstacle import BopSolution
 from biobstacle.problems import (
-    biactive_instance,
+    manufactured_instance,
     monotone_control_pair,
     random_instance,
-    strict_instance,
     unit_grid,
 )
 
 
 @pytest.fixture(scope="module")
 def solved_biactive():
-    inst = biactive_instance(unit_grid(24, dim=2))
+    inst = manufactured_instance(unit_grid(24, dim=2), biactive=True)
     sol = solve_bop(inst["problem"], inst["u"])
     return inst, sol
 
@@ -102,7 +101,7 @@ def test_partition_is_a_partition(solved_biactive):
 
 
 def test_unconstrained_solution_is_all_inactive():
-    inst = strict_instance(unit_grid(12, dim=2))
+    inst = manufactured_instance(unit_grid(12, dim=2))
     problem = inst["problem"]
     grid = problem.grid
     wide = problem.obstacles

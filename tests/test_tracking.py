@@ -19,7 +19,7 @@ from biobstacle import (
 )
 from biobstacle import tracking
 from biobstacle.errors import InvalidD, InvalidSpec
-from biobstacle.problems import smooth_field, strict_instance, unit_grid
+from biobstacle.problems import manufactured_instance, smooth_field, unit_grid
 
 
 def _unconstrained_cp(n=10, alpha=1e-3):
@@ -78,7 +78,7 @@ def test_gradient_matches_central_differences():
 
 
 def test_adjoint_identity_is_machine_exact():
-    inst = strict_instance(unit_grid(16, dim=2))
+    inst = manufactured_instance(unit_grid(16, dim=2))
     rng = np.random.default_rng(6)
     grid = inst["problem"].grid
     y_target = grid.function(inst["y_star"].values - 0.001)
@@ -95,7 +95,7 @@ def test_adjoint_identity_is_machine_exact():
 
 
 def test_subgradient_respects_one_sided_domain():
-    inst = strict_instance(unit_grid(16, dim=2))
+    inst = manufactured_instance(unit_grid(16, dim=2))
     grid = inst["problem"].grid
     cp = ControlProblem(bop=inst["problem"],
                         y_target=grid.function(inst["y_star"].values - 0.002),
@@ -124,7 +124,7 @@ def test_descent_strictly_decreases_objective():
 def test_descent_solves_once_per_objective_evaluation(monkeypatch):
     """Every trial control is solved once, and the accepted trial's solution
     feeds the next subgradient: no second solve of the same control."""
-    inst = strict_instance(unit_grid(12, dim=2))
+    inst = manufactured_instance(unit_grid(12, dim=2))
     grid = inst["problem"].grid
     rng = np.random.default_rng(3)
     cp = ControlProblem(bop=inst["problem"],
