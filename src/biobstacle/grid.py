@@ -77,6 +77,17 @@ class Grid:
         idx = np.arange(self.total)
         return idx[parity == 0], idx[parity == 1]
 
+    @cached_property
+    def coarse_level(self) -> tuple["Grid", sp.csr_matrix, sp.csr_matrix]:
+        """(half-size grid, restriction onto it, prolongation from it).
+
+        Built on first use and kept for the grid's lifetime, so every
+        operator assembled on this grid shares one pair of transfers.
+        Raises InvalidSpec where an axis has a single node.
+        """
+        coarse = Grid(tuple(n // 2 for n in self.shape))
+        return coarse, interpolation(self, coarse), interpolation(coarse, self)
+
     def function(self, values) -> "GridFunction":
         return GridFunction(self, values)
 
@@ -166,14 +177,14 @@ class AssembledOperator:
 
         Built on first use and kept for the operator's lifetime, so solves
         sharing an operator share its coarse level, and each coarse operator
-        caches its own.
+        caches its own. The transfers are the grid's (Grid.coarse_level).
         """
         try:
-            coarse = Grid(tuple(n // 2 for n in self.grid.shape))
+            coarse, restrict, prolong = self.grid.coarse_level
             operator = assemble(coarse, self.spec)
         except InvalidSpec:
             return None
-        return operator, interpolation(self.grid, coarse), interpolation(coarse, self.grid)
+        return operator, restrict, prolong
 
 
 def assemble(grid: Grid, spec: OperatorSpec) -> AssembledOperator:

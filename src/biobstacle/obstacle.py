@@ -43,9 +43,9 @@ PSOR_RELAXATION = 1.5
 SOLVER_DEFAULTS = {"psor": (1e-8, 200_000), "pdas": (1e-10, 200)}
 # PDAS seeds from the half-size grid once that grid has this many nodes per
 # axis. The coarse operator is cached on the fine one
-# (AssembledOperator.coarse_level), so a seed costs one coarse solve; on the
-# 32^2 grids of verify-all it cuts the fine level from about 6 set iterations
-# to about 2
+# (AssembledOperator.coarse_level) and the transfers on the grid
+# (Grid.coarse_level), so a seed costs one coarse solve; on the 32^2 grids
+# of verify-all it cuts the fine level from about 6 set iterations to about 2
 COARSE_MIN = 16
 
 
@@ -115,35 +115,6 @@ def _residual(xi: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return float(np.abs(x - proj).max())
 
 
-def _psor_bounds(
-    operator: AssembledOperator,
-    b: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    x: np.ndarray,
-    relaxation: float,
-    tol: float,
-) -> tuple[np.ndarray, int, float]:
-    """Projected SOR onto [lo, hi] from x, red-black sweep order, vectorized
-    per color, up to the sweep cap in SOLVER_DEFAULTS["psor"]."""
-    matrix = operator.matrix
-    colors = operator.grid.checkerboard()
-    scale = natural_scale(operator.grid)
-    max_iter = SOLVER_DEFAULTS["psor"][1]
-    x = np.clip(x, lo, hi).astype(float)
-    diag = matrix.diagonal()
-    rows = [matrix[c] for c in colors]
-    err = np.inf
-    for it in range(1, max_iter + 1):
-        for c, rows_c in zip(colors, rows):
-            r = b[c] - rows_c @ x
-            x[c] = np.clip(x[c] + relaxation * r / diag[c], lo[c], hi[c])
-        err = _residual(matrix @ x - b, x, lo, hi, scale)
-        if err <= tol:
-            return x, it, err
-    raise NoConvergence("psor", max_iter, err)
-
-
 def _reduced_solve(
     matrix: sp.csr_matrix,
     transpose: sp.csr_matrix,
@@ -193,17 +164,18 @@ def _pdas_bounds(
     hi: np.ndarray,
     tol: float,
     start: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, int, float, bool]:
+) -> tuple[np.ndarray, int, float, tuple[int, int] | None]:
     """Primal-dual active set iteration from the (lower, upper) active sets in
     start; returns at a fixed point, a small residual or a cycle.
 
     Set updates follow _active_sets with c = 1/scale, scale the grid's
-    natural_scale. Counts set updates, so an instance whose first
-    classification is already a fixed point reports 0 iterations. Returns
-    (x, set iterations, residual, cycled). The set iteration can cycle when
-    the obstacles nearly touch and nodes flip between the two bounds; it
-    stops at the first repeated set signature with cycled true, and the
-    caller decides what to do with that iterate. The iteration cap is the
+    natural_scale, guarded so that a node leaves one bound for the free set
+    before it may take the other; the fixed points stay the same. Unguarded,
+    nodes jumped straight between the bounds, at gaps of 0.76-1.0 of the
+    largest gap, and the iteration cycled. Counts set updates, so a first
+    classification that is a fixed point reports 0 iterations. Returns (x,
+    set iterations, residual, cycle): cycle is None, or (length, flipping
+    nodes) at the first repeated set signature. The iteration cap is the
     one in SOLVER_DEFAULTS["pdas"].
     """
     max_iter = SOLVER_DEFAULTS["pdas"][1]
@@ -211,7 +183,7 @@ def _pdas_bounds(
     scale = natural_scale(operator.grid)
     c = 1.0 / scale
     act_lo, act_up = start
-    seen = set()
+    seen, visited = {}, []
     err = np.inf
     for it in range(max_iter + 1):
         x = np.zeros_like(b)
@@ -220,13 +192,19 @@ def _pdas_bounds(
         _reduced_solve(matrix, operator.adjoint_matrix, b, ~(act_lo | act_up), x)
         xi = matrix @ x - b
         new_lo, new_up = _active_sets(xi, x, lo, hi, c)
+        new_lo &= ~act_up
+        new_up &= ~act_lo
         err = _residual(xi, x, lo, hi, scale)
         if err <= tol or ((new_lo == act_lo).all() and (new_up == act_up).all()):
-            return x, it, err, False
+            return x, it, err, None
         signature = (new_lo.tobytes(), new_up.tobytes())
         if signature in seen:
-            return x, it, err, True
-        seen.add(signature)
+            cycle = visited[seen[signature]:]
+            flips = np.any([(lo_k != new_lo) | (up_k != new_up)
+                            for lo_k, up_k in cycle], axis=0)
+            return x, it, err, (len(cycle), int(flips.sum()))
+        seen[signature] = len(visited)
+        visited.append((new_lo, new_up))
         act_lo, act_up = new_lo, new_up
     raise NoConvergence("pdas", max_iter, err)
 
@@ -297,26 +275,24 @@ def _pdas_solve(
     The starts are tried in turn: the sets of the nearby state near (if
     given), the sets of _coarse_sets (where it gives a start), then empty
     sets. A start whose iteration cycles hands over to the next one, so the
-    path after a failed near start is exactly the path without one. If the
-    cold start cycles too, its iterate goes to projected Gauss-Seidel, which
-    converges monotonically for M-matrices, with a tightened tolerance so
-    the downstream multiplier classification sees the same noise floor as
-    an exact reduced solve. Returns (x, set iterations plus PSOR sweeps,
-    residual).
+    path after a failed near start is exactly the path without one. A cycle
+    from the cold start raises NoConvergence naming the cycle's length and
+    its flipping nodes. Returns (x, set iterations, residual).
     """
-    path, iterations, sweeps = [], 0, 0
+    path, iterations = [], 0
     for name, start in _pdas_starts(operator, b, lo, hi, tol, near):
         path.append(name)
-        x, steps, err, cycled = _pdas_bounds(operator, b, lo, hi, tol, start)
+        x, steps, err, cycle = _pdas_bounds(operator, b, lo, hi, tol, start)
         iterations += steps
-        if not cycled:
+        if cycle is None:
             break
-    else:
-        x, sweeps, err = _psor_bounds(operator, b, lo, hi, x, 1.0, 0.01 * tol)
-    log.debug("pdas grid=%s seed=%s set_iterations=%d psor_sweeps=%d",
-              "x".join(map(str, operator.grid.shape)), ">".join(path),
-              iterations, sweeps)
-    return x, iterations + sweeps, err
+    log.debug("pdas grid=%s seed=%s set_iterations=%d",
+              "x".join(map(str, operator.grid.shape)), ">".join(path), iterations)
+    if cycle is not None:
+        raise NoConvergence(
+            f"pdas (set cycle of length {cycle[0]} over {cycle[1]} nodes)",
+            iterations, err)
+    return x, iterations, err
 
 
 def solve_vi_bounds(
@@ -331,12 +307,27 @@ def solve_vi_bounds(
 
     The PSOR backend of solve_bop(method="psor") and of the critical-cone
     problems, whose bounds mix 0 and +-inf. Relaxation PSOR_RELAXATION,
-    iteration cap SOLVER_DEFAULTS["psor"]. Returns (x, sweeps, residual).
+    iteration cap SOLVER_DEFAULTS["psor"], red-black sweep order vectorized
+    per color. Returns (x, sweeps, residual).
     """
-    start = np.clip(np.zeros(operator.grid.total), lo, hi)
-    if not np.isfinite(start).all():
+    x = np.clip(np.zeros(operator.grid.total), lo, hi)
+    if not np.isfinite(x).all():
         raise InfeasibleObstacles("no finite starting point inside the bounds")
-    return _psor_bounds(operator, b, lo, hi, start, PSOR_RELAXATION, tol)
+    matrix = operator.matrix
+    colors = operator.grid.checkerboard()
+    scale = natural_scale(operator.grid)
+    max_iter = SOLVER_DEFAULTS["psor"][1]
+    diag = matrix.diagonal()
+    rows = [matrix[c] for c in colors]
+    err = np.inf
+    for it in range(1, max_iter + 1):
+        for c, rows_c in zip(colors, rows):
+            r = b[c] - rows_c @ x
+            x[c] = np.clip(x[c] + PSOR_RELAXATION * r / diag[c], lo[c], hi[c])
+        err = _residual(matrix @ x - b, x, lo, hi, scale)
+        if err <= tol:
+            return x, it, err
+    raise NoConvergence("psor", max_iter, err)
 
 
 def solve_bop(
@@ -360,8 +351,9 @@ def solve_bop(
     f(u), with no coarse-level solve. The state depends only on the final
     active sets, so a start that ends on the sets of the plain solve gives
     the same bytes in fewer factorizations. A near start whose set
-    iteration cycles falls back to the plain path (coarse seed, then cold).
-    PSOR takes no near start.
+    iteration cycles hands over to the plain path (coarse seed, then cold).
+    PSOR takes no near start. A cycle from the cold start raises
+    NoConvergence.
     """
     if u.grid != problem.grid:
         raise GridMismatch("control iterate lives on a different grid")

@@ -6,6 +6,7 @@ The larger 2D checks then play the two solvers against each other.
 """
 
 from dataclasses import replace
+import itertools
 import logging
 import math
 
@@ -31,9 +32,10 @@ from biobstacle.errors import (
     InvalidSpec,
     NoConvergence,
 )
-from biobstacle.grid import OPERATOR_KINDS, AssembledOperator, natural_scale
+from biobstacle.grid import OPERATOR_KINDS, AssembledOperator, interpolation, natural_scale
 from biobstacle.multipliers import EPS_ACTIVE, classify_sets, mirror_check, node_flags
 from biobstacle.obstacle import COARSE_MIN, _pdas_bounds, _residual
+from biobstacle.oracle import ENUMERATION_TOL
 from biobstacle.problems import (
     monotone_control_pair,
     random_control,
@@ -144,12 +146,82 @@ def test_pdas_psor_enumeration_agree(seed, n, operator_kind, control_kind,
     )
     if pinch is not None:
         problem = _pinch(problem, pinch[0] % n, pinch[1])
+    _assert_solvers_reproduce_the_oracle(problem, u)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(lambda s: s != (1, 1)),
+    operator_kind=st.sampled_from(OPERATOR_KINDS),
+    control_kind=st.sampled_from(CONTROL_KINDS),
+    active_fraction=st.floats(0.05, 0.45),
+    pinch=st.one_of(st.none(), st.tuples(st.integers(0, 8), st.floats(0.0, 1.0))),
+)
+@settings(max_examples=60, deadline=None)
+def test_pdas_psor_enumeration_agree_in_2d(seed, shape, operator_kind, control_kind,
+                                           active_fraction, pinch):
+    """The same agreement on 2D grids up to 3x3 (3^9 patterns), where the
+    stencil couples nodes nx apart and convection acts along both axes."""
+    grid = Grid(shape)
+    problem, u = random_instance(
+        grid, np.random.default_rng(seed),
+        operator_kinds=(operator_kind,), control_kinds=(control_kind,),
+        active_fraction=active_fraction,
+    )
+    if pinch is not None:
+        problem = _pinch(problem, pinch[0] % grid.total, pinch[1])
+    _assert_solvers_reproduce_the_oracle(problem, u)
+
+
+def _assert_solvers_reproduce_the_oracle(problem, u):
+    """PDAS and PSOR reproduce the oracle's state within 1e-8 and its
+    lower/inactive/upper pattern node for node."""
     ref = solve_by_enumeration(problem, u)
     ref_flags = node_flags(classify_sets(ref))
     for method in ("pdas", "psor"):
         sol = solve_bop(problem, u, method=method, tol=1e-10)
         assert np.abs(sol.y.values - ref.y.values).max() <= 1e-8
         assert (node_flags(classify_sets(sol)) == ref_flags).all()
+
+
+def _enumerate_by_loop(problem, u):
+    """The one-pattern-at-a-time loop that the batched oracle replaced, kept
+    as its reference: (first accepted pattern, its state), or None."""
+    matrix = problem.operator.matrix.toarray()
+    b = problem.load(u)
+    psi, phi = problem.obstacles.psi, problem.obstacles.phi
+    for pattern in itertools.product((0, 1, 2), repeat=problem.grid.total):
+        code = np.array(pattern)
+        low, up, free = code == 1, code == 2, code == 0
+        y = np.where(low, psi, np.where(up, phi, 0.0))
+        if free.any():
+            sub = matrix[np.ix_(free, free)]
+            rhs = b[free] - matrix[np.ix_(free, ~free)] @ y[~free]
+            y[free] = np.linalg.solve(sub, rhs)
+        xi = matrix @ y - b
+        viol = max(0.0, *(psi - y)[free], *(y - phi)[free], *-xi[low], *xi[up])
+        if viol <= ENUMERATION_TOL:
+            return code, y
+    return None
+
+
+@pytest.mark.parametrize("operator_kind", OPERATOR_KINDS)
+@pytest.mark.parametrize("control_kind", CONTROL_KINDS)
+def test_batched_enumeration_matches_the_pattern_loop(operator_kind, control_kind):
+    """On criterion 1's kind of draw the batched oracle accepts the pattern
+    the loop accepts first, and the same state to 1e-12."""
+    rng = np.random.default_rng([29, len(operator_kind), len(control_kind)])
+    for _ in range(4):
+        n = int(rng.integers(2, 9))
+        problem, u = random_instance(unit_grid(n, dim=1), rng,
+                                     operator_kinds=(operator_kind,),
+                                     control_kinds=(control_kind,))
+        code, y = _enumerate_by_loop(problem, u)
+        sol = solve_by_enumeration(problem, u)
+        psi, phi = problem.obstacles.psi, problem.obstacles.phi
+        pinned = np.where(sol.y.values == psi, 1, np.where(sol.y.values == phi, 2, 0))
+        assert (pinned == code).all()
+        assert np.abs(sol.y.values - y).max() <= 1e-12
 
 
 def test_random_operator_kind_is_plain_str():
@@ -209,44 +281,63 @@ def _pdas_levels(caplog) -> list[dict]:
 
 
 def _cycling_instance():
-    """Tight obstacle band plus convection: the plain active-set iteration
-    oscillates between patterns."""
+    """A 16^2 convection draw on which the unguarded set rule cycled: nodes
+    jumped straight from one bound to the other, at 0.91 of the largest
+    obstacle gap rather than at the narrowest one."""
     rng = np.random.default_rng([7, 3])
-    problem, u = random_instance(unit_grid(16, dim=2), rng)
-    assert problem.obstacles.separation < 1e-4  # the degenerate geometry
-    return problem, u
+    return random_instance(unit_grid(16, dim=2), rng)
+
+
+def _alternating_rule(monkeypatch, n, calls=None):
+    """Make obstacle._active_sets alternate two set pairs that the guard
+    lets through, lower on the first quarter of the nodes and upper on the
+    last, for its first `calls` calls (every call if None) and apply the
+    real rule after that. Returns the number of nodes the cycle flips."""
+    quarter = np.arange(n) < n // 4
+    empty = np.zeros(n, dtype=bool)
+    pairs = [(quarter, empty), (empty, quarter[::-1])]
+    real, count = obstacle._active_sets, itertools.count()
+
+    def rule(*args):
+        k = next(count)
+        if calls is not None and k >= calls:
+            return real(*args)
+        return tuple(mask.copy() for mask in pairs[k % 2])
+
+    monkeypatch.setattr(obstacle, "_active_sets", rule)
+    return 2 * (n // 4)
 
 
 def test_pdas_survives_set_cycling(caplog):
-    """The solver must detect the cycle, hand over to projected Gauss-Seidel
-    and still deliver a converged solution (regression for the fallback)."""
+    """Regression for the draw on which the unguarded set rule cycled: the
+    guarded rule solves it from the cold start with no hand-over, to the
+    tolerance and to PSOR's state."""
     problem, u = _cycling_instance()
     with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
         sol = solve_bop(problem, u, method="pdas")
     [level] = _pdas_levels(caplog)
     assert level["seed"] == "cold"
-    assert int(level["psor_sweeps"]) > 0
     assert solution_residual(sol) <= 1e-10
     ref = solve_bop(problem, u, method="psor", tol=1e-11)
     np.testing.assert_allclose(sol.y.values, ref.y.values, atol=1e-8)
 
 
 def test_seeded_cycle_restarts_cold(caplog, monkeypatch):
-    """A seed whose set iteration repeats a signature is dropped: the level
-    restarts cold on the exact path, which owns the PSOR fallback. Empty
-    start sets replay the cold iteration, so the seeded run cycles."""
+    """A seed whose set iteration repeats a signature is dropped and the
+    level restarts cold; a cycle from the cold start raises NoConvergence
+    that names the cycle's length and its flipping nodes."""
     problem, u = _cycling_instance()
     n = problem.grid.total
     monkeypatch.setattr(obstacle, "_coarse_sets",
                         lambda *args: (np.zeros(n, bool), np.zeros(n, bool)))
-    with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
-        sol = solve_bop(problem, u, method="pdas")
+    flipping = _alternating_rule(monkeypatch, n)
+    with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"), \
+            pytest.raises(NoConvergence) as info:
+        solve_bop(problem, u, method="pdas")
     [level] = _pdas_levels(caplog)
-    assert level["seed"] == "coarse>cold"
-    assert int(level["psor_sweeps"]) > 0
-    assert solution_residual(sol) <= 1e-10
-    ref = solve_bop(problem, u, method="psor", tol=1e-11)
-    np.testing.assert_allclose(sol.y.values, ref.y.values, atol=1e-8)
+    assert level["seed"] == "coarse>cold" and level["set_iterations"] == "4"
+    assert f"set cycle of length 2 over {flipping} nodes" in str(info.value)
+    assert info.value.iterations == 4
 
 
 @pytest.mark.parametrize("n", [2 * COARSE_MIN, 128])
@@ -296,17 +387,27 @@ def test_near_start_matches_the_plain_solve(caplog, operator_kind):
     assert np.array_equal(warm.xi.values, plain.xi.values)
 
 
-def test_cycling_near_start_falls_back_to_the_plain_path(caplog):
+def test_cycling_near_start_falls_back_to_the_plain_path(caplog, monkeypatch):
     """A near start whose set iteration cycles is dropped, and the solve
-    takes the path it takes without one: here the cold iteration and its
-    PSOR fallback, bit for bit."""
+    takes the path it takes without one, bit for bit; when the cold start
+    cycles too, the solve raises NoConvergence."""
     problem, u = _cycling_instance()
     far = solve_bop(problem, u.with_values(-u.values))
+    # the near start and its first three updates alternate, then the real rule
+    _alternating_rule(monkeypatch, problem.grid.total, calls=4)
     with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
         warm = solve_bop(problem, u, near=far)
     [level] = _pdas_levels(caplog)
-    assert level["seed"] == "near>cold" and int(level["psor_sweeps"]) > 0
+    assert level["seed"] == "near>cold"
     assert np.array_equal(warm.y.values, solve_bop(problem, u).y.values)
+    caplog.clear()
+    flipping = _alternating_rule(monkeypatch, problem.grid.total)
+    with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"), \
+            pytest.raises(NoConvergence) as info:
+        solve_bop(problem, u, near=far)
+    [level] = _pdas_levels(caplog)
+    assert level["seed"] == "near>cold"
+    assert f"set cycle of length 2 over {flipping} nodes" in str(info.value)
 
 
 def test_near_start_refusals():
@@ -345,20 +446,36 @@ def test_convection_past_the_peclet_bound_stops_coarsening(caplog):
 
 def test_coarse_level_is_assembled_once_per_operator(monkeypatch):
     """Solves that share an operator share its cached coarse level: two
-    solves on a 4*COARSE_MIN grid assemble each coarser level once."""
-    calls = []
+    solves on a 4*COARSE_MIN grid assemble each coarser level once. The
+    transfers belong to the grid: a second operator on it assembles its own
+    coarse levels but shares their restriction and prolongation, so
+    interpolation runs twice per grid."""
+    calls, transfers = [], []
 
     def counting_assemble(grid, spec):
         calls.append(grid.shape)
         return assemble(grid, spec)
 
+    def counting_interpolation(src, dst):
+        transfers.append((src.shape, dst.shape))
+        return interpolation(src, dst)
+
     problem, u = random_instance(unit_grid(4 * COARSE_MIN, dim=2),
                                  np.random.default_rng(3))
     monkeypatch.setattr("biobstacle.grid.assemble", counting_assemble)
+    monkeypatch.setattr("biobstacle.grid.interpolation", counting_interpolation)
     first = solve_bop(problem, u)
     second = solve_bop(problem, u.with_values(1.1 * u.values))
     assert calls == [(2 * COARSE_MIN,) * 2, (COARSE_MIN,) * 2]
     assert first.problem.operator.coarse_level is second.problem.operator.coarse_level
+    other = assemble(problem.grid, OperatorSpec("laplacian_plus_reaction", reaction=3.0))
+    solve_bop(replace(problem, operator=other), u)
+    assert calls == [(2 * COARSE_MIN,) * 2, (COARSE_MIN,) * 2] * 2
+    (op, restrict, prolong), (other_op, other_restrict, other_prolong) = (
+        problem.operator.coarse_level, other.coarse_level)
+    assert op is not other_op and restrict is other_restrict and prolong is other_prolong
+    assert op.grid is other_op.grid
+    assert len(transfers) == 4 and len(set(transfers)) == 4
 
 
 def test_no_seed_below_coarse_min_or_for_infinite_bounds(caplog):
