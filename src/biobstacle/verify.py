@@ -4,10 +4,15 @@ Each criterion function draws its randomness from an isolated, seeded
 stream and returns a plain dict of deterministic values (no wall times, no
 paths), so a report built from these dicts is byte-reproducible. Runtime
 budgets are enforced by the callers that care (the test suite), not here.
+
+Every pass/fail bound of the criteria and of the CLI experiments is a row
+of ``BOUNDS``; ``failures`` judges a report against its rows.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from collections.abc import Iterator
 from dataclasses import replace
 
@@ -44,6 +49,83 @@ from .reporting import render_json
 from .tracking import adjoint_subgradient, descent_loop, objective
 
 MULTIPLIER_NOISE = 1e-11  # solver-level multiplier noise, far below EPS_MULT
+CONE_VS_REDUCED = 1e-9    # cone-VI vs inactive-set derivative: criterion 6, derivative run
+
+
+class Field(str):
+    """A bound read from another field of the same report."""
+
+
+RELATIONS = {"<=": operator.le, "<": operator.lt, "==": operator.eq,
+             ">": operator.gt, ">=": operator.ge}
+
+# criterion number or experiment name -> rows (fields, relation, bound, key):
+# every field, space-separated, must stand in that relation to the bound, and
+# a keyed row reports its bound under the key; "a.*.b" is b of every entry of a
+BOUNDS = {
+    1: (("worst_y_gap", "<=", 1e-8, "tolerance"), ("pattern_mismatches", "==", 0, None)),
+    2: (("worst_state_violation_u worst_state_violation_psi worst_multiplier_violation",
+         "<=", 1e-10, "tolerance"),
+        ("set_inclusion_violations reflection_swap_mismatches", "==", 0, None),
+        ("shared_contact_nodes", ">", 0, None)),
+    3: (("worst_state_change", "<=", 1e-9, "tolerance"), ("lowered_nodes", ">", 0, None)),
+    4: (("worst_state_gap", "<=", 1e-10, "tolerance"), ("swap_mismatches", "==", 0, None)),
+    5: (("worst_pairing_gap", "<=", 1e-8, "tolerance"), ("split_defect", "==", 0.0, None),
+        ("support_violations", "==", 0, None)),
+    6: (("agreement_plus agreement_minus", "<=", CONE_VS_REDUCED, "tolerance"),
+        ("fd_order", ">=", 0.9, None)),
+    7: (("final_error_lower final_error_upper", "<=", 1e-4, "tolerance"),
+        ("tail_nonincreasing_lower tail_nonincreasing_upper", "==", True, None),
+        ("side_gap", ">", 1e-3, None)),
+    8: (("worst_adjoint_identity_gap", "<=", 1e-12, "tolerance_identity"),
+        ("worst_cd_relative_error", "<=", 1e-4, "tolerance_cd"),
+        ("generic_weak_nodes", "==", 0, None), ("descent_steps", ">=", 50, None),
+        ("descent_strictly_decreasing", "==", True, None),
+        ("descent_termination", "==", "max_steps", None)),
+    # the bounded upper partial sums never decrease, so the last one (the
+    # limit estimate) within the mass bound puts every one within it
+    9: (("max_tail_increment", "<", 1e-6, None),
+        ("bounded_limit_estimate", "<=", Field("measure_mass_bound"), None),
+        ("slope_rel_err", "<=", 0.25, None), ("C0", "<", math.inf, None),
+        ("h1_checks.*.ok gap_bounds_ok vi_property_ok", "==", True, None)),
+    10: (("byte_identical", "==", True, None),),
+    "solve": (),
+    "derivative": (("cone_vs_reduced_agreement", "<=", CONE_VS_REDUCED, None),),
+    "mosco": (("errors_nonincreasing_tail", "==", True, None),),
+    "control": (("strictly_decreasing", "==", True, None),),
+    "counterexample": (("h1_checks.*.ok", "==", True, None),),
+    "verify-all": (),
+}
+
+
+def _reached(report: dict, field: str) -> list[tuple[str, object]]:
+    head, _, rest = field.partition(".*.")
+    if not rest:
+        return [(field, report[field])]
+    return [(f"{head}.{key}.{rest}", entry[rest]) for key, entry in report[head].items()]
+
+
+def failures(report: dict) -> list[str]:
+    """One line per field that breaks its row of ``BOUNDS``: the field, its
+    value, the relation and the bound. A report with ``criteria`` also
+    lists theirs, each under the criterion's name."""
+    lines = []
+    rows = BOUNDS[report.get("criterion", report.get("experiment"))]
+    for fields, relation, bound, _ in rows:
+        limit = report[bound] if isinstance(bound, Field) else bound
+        lines += [f"{name} {value} breaks {relation} {limit}"
+                  for field in fields.split() for name, value in _reached(report, field)
+                  if not RELATIONS[relation](value, limit)]
+    for criterion in report.get("criteria", ()):
+        lines += [f"{criterion['name']}: {line}" for line in failures(criterion)]
+    return lines
+
+
+def _judged(report: dict) -> dict:
+    """The criterion report with its keyed bounds and its verdict filled in."""
+    report.update({key: bound for _, _, bound, key in BOUNDS[report["criterion"]] if key})
+    report["passed"] = not failures(report)
+    return report
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -54,7 +136,6 @@ def criterion_1(seed: int) -> dict:
     """PSOR and PDAS against the exhaustive 1D complementarity-pattern oracle."""
     rng = _rng(seed, 1)
     solve_tol = 1e-10
-    tol = 1e-8
     worst_y = 0.0
     pattern_mismatches = 0
     for _ in range(20):
@@ -68,15 +149,13 @@ def criterion_1(seed: int) -> dict:
             worst_y = max(worst_y, float(np.abs(sol.y.values - reference.y.values).max()))
             flags = node_flags(classify_sets(sol))
             pattern_mismatches += int((flags != ref_flags).sum())
-    return {
+    return _judged({
         "criterion": 1,
         "name": "brute_force_equivalence",
         "instances": 20,
         "worst_y_gap": worst_y,
         "pattern_mismatches": pattern_mismatches,
-        "tolerance": tol,
-        "passed": bool(worst_y <= tol and pattern_mismatches == 0),
-    }
+    })
 
 
 def _solved_pairs(grid: Grid, rng: np.random.Generator,
@@ -93,9 +172,8 @@ def criterion_2(seed: int) -> dict:
     """Four monotone-pair suites on a 32x32 grid, 50 pairs each."""
     rng = _rng(seed, 2)
     grid = problems.unit_grid(32, dim=2)
-    tol = 1e-10
 
-    worst_state_u = -np.inf       # max of y_lo - y_hi, should stay <= tol
+    worst_state_u = -np.inf       # max of y_lo - y_hi; BOUNDS[2] caps it
     for sol_hi, sol_lo in _solved_pairs(grid, rng):
         worst_state_u = max(worst_state_u, float((sol_lo.y.values - sol_hi.y.values).max()))
 
@@ -120,7 +198,7 @@ def criterion_2(seed: int) -> dict:
             reflection_mismatches += (mirror_check(sol_hi, part_hi)[1]
                                       + mirror_check(sol_lo, part_lo)[1])
 
-    worst_multiplier = -np.inf    # xi_hi - xi_lo on shared contact, <= tol
+    worst_multiplier = -np.inf    # xi_hi - xi_lo on shared contact; capped too
     shared_contact_nodes = 0
     for sol_hi, sol_lo in _solved_pairs(grid, rng):
         part_hi = classify_sets(sol_hi)
@@ -131,7 +209,7 @@ def criterion_2(seed: int) -> dict:
             gap = (sol_hi.xi.values - sol_lo.xi.values)[shared]
             worst_multiplier = max(worst_multiplier, float(gap.max()))
 
-    return {
+    return _judged({
         "criterion": 2,
         "name": "monotonicity_suites",
         "pairs_per_suite": 50,
@@ -141,23 +219,13 @@ def criterion_2(seed: int) -> dict:
         "reflection_swap_mismatches": reflection_mismatches,
         "worst_multiplier_violation": worst_multiplier,
         "shared_contact_nodes": shared_contact_nodes,
-        "tolerance": tol,
-        "passed": bool(
-            worst_state_u <= tol
-            and worst_state_psi <= tol
-            and inclusion_violations == 0
-            and reflection_mismatches == 0
-            and worst_multiplier <= tol
-            and shared_contact_nodes > 0
-        ),
-    }
+    })
 
 
 def criterion_3(seed: int) -> dict:
     """Lowering psi off the multiplier-carrying lower set leaves y unchanged."""
     rng = _rng(seed, 3)
     grid = problems.unit_grid(16, dim=2)
-    tol = 1e-9
     worst = 0.0
     lowered_nodes = 0
     for _ in range(20):
@@ -172,22 +240,19 @@ def criterion_3(seed: int) -> dict:
         lowered = replace(problem, obstacles=ObstaclePair(grid, pair.psi - v, pair.phi))
         sol_new = solve_bop(lowered, u)
         worst = max(worst, float(np.abs(sol_new.y.values - sol.y.values).max()))
-    return {
+    return _judged({
         "criterion": 3,
         "name": "obstacle_invariance",
         "instances": 20,
         "lowered_nodes": lowered_nodes,
         "worst_state_change": worst,
-        "tolerance": tol,
-        "passed": bool(worst <= tol and lowered_nodes > 0),
-    }
+    })
 
 
 def criterion_4(seed: int) -> dict:
     """Mirrored problem solves to the negated state with swapped contact sets."""
     rng = _rng(seed, 4)
     grid = problems.unit_grid(16, dim=2)
-    tol = 1e-10
     worst = 0.0
     swap_mismatches = 0
     for _ in range(20):
@@ -196,22 +261,19 @@ def criterion_4(seed: int) -> dict:
         gap, mismatches = mirror_check(sol, classify_sets(sol))
         worst = max(worst, gap)
         swap_mismatches += mismatches
-    return {
+    return _judged({
         "criterion": 4,
         "name": "reflection_symmetry",
         "instances": 20,
         "worst_state_gap": worst,
         "swap_mismatches": swap_mismatches,
-        "tolerance": tol,
-        "passed": bool(worst <= tol and swap_mismatches == 0),
-    }
+    })
 
 
 def criterion_5(seed: int) -> dict:
     """Multiplier split exactness, pairing identity, support conditions."""
     rng = _rng(seed, 5)
     grid = problems.unit_grid(16, dim=2)
-    tol = 1e-8
     split_defect = 0.0
     worst_pairing = 0.0
     support_violations = 0
@@ -230,25 +292,20 @@ def criterion_5(seed: int) -> dict:
         gap_upper = problem.obstacles.phi - sol.y.values
         support_violations += int(((split.lower > EPS_MULT) & (gap_lower > EPS_ACTIVE)).sum())
         support_violations += int(((split.upper > EPS_MULT) & (gap_upper > EPS_ACTIVE)).sum())
-    return {
+    return _judged({
         "criterion": 5,
         "name": "multiplier_split",
         "instances": 20,
         "split_defect": split_defect,
         "worst_pairing_gap": worst_pairing,
         "support_violations": support_violations,
-        "tolerance": tol,
-        "passed": bool(
-            split_defect == 0.0 and worst_pairing <= tol and support_violations == 0
-        ),
-    }
+    })
 
 
 def criterion_6(seed: int) -> dict:
     """Cone-VI and reduced-system derivatives agree under strict
     complementarity; one-sided FD quotients converge at first order."""
     inst = problems.derivative_instance(problems.unit_grid(32, dim=2))
-    tol = 1e-9
     problem, u, h = inst["problem"], inst["u"], inst["h"]
     sol = solve_bop(problem, u)
     part = classify_sets(sol)
@@ -271,7 +328,7 @@ def criterion_6(seed: int) -> dict:
         errors.append(float(np.abs(quotient - eta).max()))
     order = float(np.polyfit(np.log(ts), np.log(errors), 1)[0])
 
-    return {
+    return _judged({
         "criterion": 6,
         "name": "derivative_consistency",
         "manufactured_state_gap": manufactured_state_gap,
@@ -280,11 +337,7 @@ def criterion_6(seed: int) -> dict:
         "agreement_minus": agreement_minus,
         "fd_errors": errors,
         "fd_order": order,
-        "tolerance": tol,
-        "passed": bool(
-            agreement_plus <= tol and agreement_minus <= tol and order >= 0.9
-        ),
-    }
+    })
 
 
 def criterion_7(seed: int) -> dict:
@@ -293,7 +346,6 @@ def criterion_7(seed: int) -> dict:
     inst = problems.mosco_instance(problems.unit_grid(32, dim=2))
     problem, u, h, e = inst["problem"], inst["u"], inst["h"], inst["e"]
     schedule = (2, 4, 8, 16, 32, 64, 128, 256)
-    tol = 1e-4
 
     sol = solve_bop(problem, u)
     part = classify_sets(sol)
@@ -304,7 +356,7 @@ def criterion_7(seed: int) -> dict:
     eta_upper = generalized_derivative(sol, part, h, "upper").eta.values
     side_gap = float(np.abs(eta_lower - eta_upper).max())
 
-    return {
+    return _judged({
         "criterion": 7,
         "name": "mosco_limit",
         "schedule": list(schedule),
@@ -316,15 +368,7 @@ def criterion_7(seed: int) -> dict:
         "errors_lower": [s["error"] for s in runs["lower"]["steps"]],
         "errors_upper": [s["error"] for s in runs["upper"]["steps"]],
         "side_gap": side_gap,
-        "tolerance": tol,
-        "passed": bool(
-            runs["lower"]["final_error"] <= tol
-            and runs["upper"]["final_error"] <= tol
-            and runs["lower"]["errors_nonincreasing_tail"]
-            and runs["upper"]["errors_nonincreasing_tail"]
-            and side_gap > 1e-3
-        ),
-    }
+    })
 
 
 def criterion_8(seed: int) -> dict:
@@ -334,8 +378,6 @@ def criterion_8(seed: int) -> dict:
     inst = problems.control_instance(problems.unit_grid(32, dim=2), rng)
     problem, cp = inst["problem"], inst["control_problem"]
     grid = problem.grid
-    tol_identity = 1e-12
-    tol_cd = 1e-4
 
     worst_adjoint = 0.0
     worst_cd = 0.0
@@ -373,7 +415,7 @@ def criterion_8(seed: int) -> dict:
     objectives = [row["objective"] for row in trace.rows]
     strict_decrease = all(b < a for a, b in zip(objectives, objectives[1:]))
 
-    return {
+    return _judged({
         "criterion": 8,
         "name": "adjoint_subgradient",
         "controls": 10,
@@ -383,17 +425,7 @@ def criterion_8(seed: int) -> dict:
         "descent_steps": len(objectives),
         "descent_strictly_decreasing": strict_decrease,
         "descent_termination": trace.termination,
-        "tolerance_identity": tol_identity,
-        "tolerance_cd": tol_cd,
-        "passed": bool(
-            worst_adjoint <= tol_identity
-            and weak_nodes == 0
-            and worst_cd <= tol_cd
-            and strict_decrease
-            and len(objectives) >= 50
-            and trace.termination == "max_steps"
-        ),
-    }
+    })
 
 
 def criterion_9(seed: int) -> dict:
@@ -405,17 +437,7 @@ def criterion_9(seed: int) -> dict:
     vi = verify_vi_solution_property(config, K=2_000, samples=100, seed=seed)
     bounded = study["bounded"]
     fit = study["unbounded"]
-    h1_ok = all(entry["ok"] for entry in study["h1_checks"].values())
-    passed = bool(
-        bounded["max_tail_increment"] < 1e-6
-        and bounded["partial_sums_within_bound"]
-        and np.isfinite(fit["C0"])
-        and fit["slope_rel_err"] <= 0.25
-        and h1_ok
-        and gaps["ok"]
-        and vi["ok"]
-    )
-    return {
+    return _judged({
         "criterion": 9,
         "name": "ring_series",
         "beta": config.beta,
@@ -431,21 +453,11 @@ def criterion_9(seed: int) -> dict:
         "h1_checks": study["h1_checks"],
         "gap_bounds_ok": gaps["ok"],
         "vi_property_ok": vi["ok"],
-        "passed": passed,
-    }
+    })
 
 
-CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-)
+CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
+            criterion_6, criterion_7, criterion_8, criterion_9)
 
 
 def run_all(seed: int) -> dict:
@@ -463,15 +475,7 @@ def run_acceptance(seed: int) -> dict:
     """run_all twice; the byte-comparison of the two renderings is the
     determinism criterion, appended as entry 10."""
     first = run_all(seed)
-    second = run_all(seed)
-    identical = render_json(first) == render_json(second)
-    c10 = {
-        "criterion": 10,
-        "name": "determinism",
-        "byte_identical": bool(identical),
-        "passed": bool(identical),
-    }
-    report = dict(first)
-    report["criteria"] = list(first["criteria"]) + [c10]
-    report["all_passed"] = bool(first["all_passed"] and identical)
-    return report
+    c10 = _judged({"criterion": 10, "name": "determinism",
+                   "byte_identical": render_json(first) == render_json(run_all(seed))})
+    return {**first, "criteria": [*first["criteria"], c10],
+            "all_passed": first["all_passed"] and c10["passed"]}

@@ -5,8 +5,11 @@ per-criterion wall timing, reruns the whole battery a second time, and
 byte-compares the rendered reports (criterion 10). Each test then re-asserts
 the stated tolerances on the recorded numbers and emits one pass/fail line,
 so `pytest -v tests/test_acceptance.py` reads as the acceptance checklist.
+The bounds stated here are independent of ``verify.BOUNDS``; the table
+tests at the end re-judge the recorded reports against that table.
 """
 
+import fnmatch
 import math
 import time
 
@@ -165,3 +168,44 @@ def test_all_criteria_passed(acceptance):
               if not c["passed"]]
     print(f"acceptance summary: {10 - len(failed)}/10 criteria passed")
     assert failed == []
+
+
+NUMBERS = range(1, 11)
+ROWS = [(number, index) for number in NUMBERS
+        for index in range(len(verify.BOUNDS[number]))]
+
+
+@pytest.mark.parametrize("number", NUMBERS)
+def test_recorded_report_rejudges_to_a_pass(acceptance, number):
+    result = acceptance["criteria"][number]
+    assert verify.failures(result) == []
+    keyed = {key: bound for _, _, bound, key in verify.BOUNDS[number] if key}
+    reported = {key: value for key, value in result.items()
+                if key.startswith("tolerance")}
+    assert reported == keyed
+
+
+def _breaking_bound(result, fields, relation):
+    """A bound that the recorded value of every field of the row breaks."""
+    if relation == "==":
+        return object()             # equal to no recorded value
+    values = [result[field] for field in fields.split()]
+    return min(values) - 1.0 if relation in ("<=", "<") else max(values) + 1.0
+
+
+@pytest.mark.parametrize("number, index", ROWS)
+def test_breaking_one_row_fails_its_criterion(acceptance, monkeypatch, number, index):
+    result = dict(acceptance["criteria"][number])
+    rows = list(verify.BOUNDS[number])
+    fields, relation, _, key = rows[index]
+    bound = _breaking_bound(result, fields, relation)
+    rows[index] = (fields, relation, bound, key)
+    monkeypatch.setitem(verify.BOUNDS, number, tuple(rows))
+
+    judged = verify._judged(result)
+    assert judged["passed"] is False
+    if key is not None:
+        assert judged[key] is bound
+    named = [line.split()[0] for line in verify.failures(judged)]
+    for field in fields.split():
+        assert any(fnmatch.fnmatchcase(name, field) for name in named), (field, named)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from biobstacle import cli
+from biobstacle import cli, verify
 from biobstacle.errors import AssertionFailure, ConfigError, NoConvergence
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,6 +114,9 @@ def test_flag_beats_config_beats_default(tmp_path):
     ["control", "--seed", "-1"],
     ["verify-all", "--seed", "-1"],
     ["counterexample", "--seed", "-1"],
+    ["control", "--steps", "0"],
+    ["derivative", "--amplitude", "nan"],
+    ["counterexample", "--beta", "inf"],
 ])
 def test_bad_settings_exit_with_code_two(tmp_path, argv, capsys):
     code, _ = _run(tmp_path, *argv)
@@ -130,6 +133,7 @@ def test_bad_settings_exit_with_code_two(tmp_path, argv, capsys):
     ("solve", {"gird": 6}),
     ("solve", {"grid": 6.9}),
     ("solve", {"seed": True}),
+    ("derivative", {"amplitude": float("nan")}),
 ])
 def test_bad_config_values_exit_with_code_two(tmp_path, experiment, config, capsys):
     path = tmp_path / "config.json"
@@ -182,6 +186,43 @@ def test_assertion_failures_exit_with_code_one(tmp_path, monkeypatch, capsys):
     code, _ = _run(tmp_path, "solve")
     assert code == 1
     assert "assertion failed" in capsys.readouterr().err
+
+
+def test_tightened_derivative_bound_exits_one_and_names_the_row(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(verify.BOUNDS, "derivative",
+                        (("cone_vs_reduced_agreement", "<=", -1.0, None),))
+    code, out = _run(tmp_path, "derivative", "--grid", "12")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "cone_vs_reduced_agreement" in err and "breaks <= -1.0" in err
+    assert (out / "derivative_report.json").exists()
+
+
+def test_short_mosco_schedule_names_the_broken_row(tmp_path, capsys):
+    code, out = _run(tmp_path, "mosco", "--grid", "8", "--schedule", "2:4")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "assertion failed: errors_nonincreasing_tail False breaks == True\n")
+    assert (out / "mosco_report.json").exists()
+
+
+def test_verify_all_lists_the_broken_rows_of_each_failed_criterion(
+        tmp_path, monkeypatch, capsys):
+    criteria = [
+        {"criterion": 3, "name": "obstacle_invariance", "lowered_nodes": 4,
+         "worst_state_change": 2e-9},
+        {"criterion": 10, "name": "determinism", "byte_identical": False},
+    ]
+    monkeypatch.setattr(cli, "run_acceptance", lambda seed: {
+        "experiment": "verify-all", "seed": seed, "criteria": criteria,
+        "all_passed": False})
+    code, out = _run(tmp_path, "verify-all")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "assertion failed: obstacle_invariance: worst_state_change 2e-09 breaks "
+        "<= 1e-09; determinism: byte_identical False breaks == True\n")
+    assert (out / "verify_report.json").exists()
 
 
 def test_runtime_errors_exit_with_code_one(tmp_path, monkeypatch, capsys):
