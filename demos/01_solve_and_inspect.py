@@ -7,7 +7,7 @@ the multiplier xi = A y - f(u) records the force the obstacle exerts.
 
 import numpy as np
 
-from biobstacle import classify_sets, node_flags, solve_bop, solution_residual
+from biobstacle import node_flags, solve_bop, solution_residual
 from biobstacle.problems import random_instance, unit_grid
 
 rng = np.random.default_rng(42)
@@ -28,8 +28,9 @@ sor = solve_bop(problem, u, method="psor")
 print("psor iterations:", sor.iterations)
 print("max |y_pdas - y_psor|:", float(np.abs(sol.y.values - sor.y.values).max()))
 
-# partition the nodes by which constraint is active
-part = classify_sets(sol)
+# partition the nodes by which constraint is active; the solution classifies
+# its contact sets on first use and keeps them
+part = sol.sets
 flags = node_flags(part)
 for label in ("lower", "inactive", "upper"):
     print(f"{label:>8}: {int((flags == label).sum())} nodes")

@@ -7,12 +7,7 @@ we know exactly where each part of xi = xi_lower - xi_upper must live.
 
 import numpy as np
 
-from biobstacle import (
-    classify_sets,
-    pairing_identity_gap,
-    solve_bop,
-    split_multiplier,
-)
+from biobstacle import pairing_identity_gap, solve_bop, split_multiplier
 from biobstacle.problems import manufactured_instance, unit_grid
 
 inst = manufactured_instance(unit_grid(24, dim=2))
@@ -45,7 +40,7 @@ worst = max(pairing_identity_gap(sol, split, rng.standard_normal(problem.grid.to
             for _ in range(10))
 print("worst pairing identity gap over 10 random w:", worst)
 
-part = classify_sets(sol)
+part = sol.sets
 print("\nstrict lower flags match the design:",
       bool((part.lower_strict == inst["strict_lower"]).all()))
 print("strict upper flags match the design:",

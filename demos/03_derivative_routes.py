@@ -9,26 +9,21 @@ to solver precision, and checks first-order finite differences against them.
 
 import numpy as np
 
-from biobstacle import (
-    classify_sets,
-    directional_derivative,
-    gateaux_derivative_on_D,
-    solve_bop,
-)
+from biobstacle import directional_derivative, gateaux_derivative_on_D, solve_bop
 from biobstacle.problems import derivative_instance, unit_grid
 
 inst = derivative_instance(unit_grid(24, dim=2))
 problem, u, h = inst["problem"], inst["u"], inst["h"]
 sol = solve_bop(problem, u)
-part = classify_sets(sol)
+part = sol.sets
 
 print("weak contact nodes (must be 0 for strict complementarity):",
       int((part.lower_weak | part.upper_weak).sum()))
 
 # route 1: cone-constrained VI
-cone = directional_derivative(sol, part, h)
+cone = directional_derivative(sol, h)
 # route 2: reduced linear system on the inactive nodes
-reduced = gateaux_derivative_on_D(sol, part, h)
+reduced = gateaux_derivative_on_D(sol, h)
 
 gap = float(np.abs(cone.eta.values - reduced.eta.values).max())
 print("cone VI vs reduced system, max gap:", gap)

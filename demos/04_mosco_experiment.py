@@ -10,26 +10,20 @@ this script watches those derivatives converge.
 
 import numpy as np
 
-from biobstacle import (
-    classify_sets,
-    generalized_derivative,
-    mosco_convergence_experiment,
-    solve_bop,
-)
+from biobstacle import generalized_derivative, mosco_convergence_experiment, solve_bop
 from biobstacle.problems import mosco_instance, unit_grid
 
 inst = mosco_instance(unit_grid(24, dim=2))
 problem, u, h, e = inst["problem"], inst["u"], inst["h"], inst["e"]
 sol = solve_bop(problem, u)
-part = classify_sets(sol)
+part = sol.sets
 print("weak lower nodes:", int(part.lower_weak.sum()),
       " weak upper nodes:", int(part.upper_weak.sum()))
 
 schedule = (2, 4, 8, 16, 32, 64, 128)
 
 for side in ("lower", "upper"):
-    result = mosco_convergence_experiment(sol, part, h, side=side,
-                                          schedule=schedule, e=e)
+    result = mosco_convergence_experiment(sol, h, side=side, schedule=schedule, e=e)
     print(f"\nside = {side}:  dim D = {result['dim_D_limit']}")
     print("   n      error vs limit     state gap")
     for step in result["steps"]:
@@ -37,8 +31,8 @@ for side in ("lower", "upper"):
     print("tail nonincreasing:", result["errors_nonincreasing_tail"])
 
 # the two sides disagree exactly because of the weak contact nodes
-eta_lower = generalized_derivative(sol, part, h, "lower").eta.values
-eta_upper = generalized_derivative(sol, part, h, "upper").eta.values
+eta_lower = generalized_derivative(sol, h, "lower").eta.values
+eta_upper = generalized_derivative(sol, h, "upper").eta.values
 print("\nmax |eta_lower - eta_upper|:", float(np.abs(eta_lower - eta_upper).max()))
 disagree = np.abs(eta_lower - eta_upper) > 1e-12
 weak = part.lower_weak | part.upper_weak

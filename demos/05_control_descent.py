@@ -8,13 +8,7 @@ Armijo line search along its negative makes steady progress.
 
 import numpy as np
 
-from biobstacle import (
-    adjoint_subgradient,
-    classify_sets,
-    descent_loop,
-    objective,
-    solve_bop,
-)
+from biobstacle import adjoint_subgradient, descent_loop, objective, solve_bop
 from biobstacle.problems import control_instance, perturbed_control, unit_grid
 
 rng = np.random.default_rng(5)
@@ -25,7 +19,7 @@ u0 = perturbed_control(inst, rng)
 sol0 = solve_bop(cp.bop, u0)
 print("objective at the start:", objective(cp, sol0))
 
-sub = adjoint_subgradient(cp, sol0, classify_sets(sol0), side="lower")
+sub = adjoint_subgradient(cp, sol0, side="lower")
 print("initial subgradient norm:", float(np.linalg.norm(sub.g.values)))
 print("adjoint state vanishes on the contact sets:",
       float(np.abs(sub.q.values[~sub.D_used]).max()))
@@ -36,8 +30,6 @@ for row in trace.rows[::5]:
     print(f"{row['iter']:4d}   {row['objective']:.6e}   {row['step']:.2e}"
           f"   {row['grad_norm']:.3e}")
 
-objectives = [row["objective"] for row in trace.rows]
-print("\nfinal objective:", objectives[-1])
-print("strictly decreasing:",
-      all(b < a for a, b in zip(objectives, objectives[1:])))
+print("\nfinal objective:", trace.objectives[-1])
+print("strictly decreasing from the start:", trace.strictly_decreasing)
 print("termination:", trace.termination)

@@ -33,7 +33,6 @@ from .errors import (
     InvalidBeta,
     InvalidSpec,
 )
-from .multipliers import classify_sets
 from .obstacle import SOLVER_DEFAULTS, solve_bop, solution_residual
 from .radial_series import RingConfig, series_study
 from .reporting import (
@@ -53,7 +52,8 @@ CONFIG_ERRORS = (ConfigError, InvalidBeta, InvalidSpec, GridMismatch)
 DEFAULTS = {"seed": 0, "grid": 32, "dim": 2, "method": "pdas", "side": "lower",
             "amplitude": 50.0, "schedule": "2:256", "steps": 50,
             "beta": 1.0 / 3.0, "omega_exponent": 1.0, "K": 100_000}
-# experiment -> {setting: default}; every experiment takes the seed
+# experiment -> {setting: default}; every experiment takes the seed, which
+# counterexample ignores and derivative and mosco only record
 SETTINGS = {
     experiment: {key: DEFAULTS[key] for key in ("seed", *keys)}
     for experiment, keys in (
@@ -145,9 +145,8 @@ def run_solve(args) -> dict:
     problem, u = problems.random_instance(
         problems.unit_grid(s["grid"], dim=s["dim"]), rng)
     solution = solve_bop(problem, u, method=s["method"])
-    partition = classify_sets(solution)
     out = Path(args.out)
-    write_solution_csv(out / "solve_solution.csv", solution, partition)
+    write_solution_csv(out / "solve_solution.csv", solution)
     report = {
         "experiment": "solve",
         "seed": s["seed"],
@@ -155,7 +154,7 @@ def run_solve(args) -> dict:
         "iterations": solution.iterations,
         "residual_norm": solution.residual_norm,
         "natural_residual": solution_residual(solution),
-        "set_counts": partition.counts(),
+        "set_counts": solution.sets.counts(),
     }
     write_json(out / "solve_report.json", report)
     return report
@@ -168,21 +167,19 @@ def run_derivative(args) -> dict:
                                         s["amplitude"])
     problem, u, h = inst["problem"], inst["u"], inst["h"]
     solution = solve_bop(problem, u)
-    partition = classify_sets(solution)
-    cone = directional_derivative(solution, partition, h)
-    reduced = generalized_derivative(solution, partition, h, s["side"])
-    inactive = gateaux_derivative_on_D(solution, partition, h)
+    cone = directional_derivative(solution, h)
+    reduced = generalized_derivative(solution, h, s["side"])
+    inactive = gateaux_derivative_on_D(solution, h)
     agreement = float(np.abs(cone.eta.values - inactive.eta.values).max())
     out = Path(args.out)
-    write_derivative_csv(out / "derivative_eta.csv", problem.grid,
-                         reduced.eta.values, reduced.D_used)
+    write_derivative_csv(out / "derivative_eta.csv", reduced)
     report = {
         "experiment": "derivative",
         "seed": s["seed"],
         "parameters": _parameters(s),
         "cone_vs_reduced_agreement": agreement,
         "dim_D": int(reduced.D_used.sum()),
-        "set_counts": partition.counts(),
+        "set_counts": solution.sets.counts(),
     }
     write_json(out / "derivative_report.json", report)
     return report
@@ -194,10 +191,8 @@ def run_mosco(args) -> dict:
     schedule = _parse_schedule(s["schedule"])
     inst = problems.mosco_instance(problems.unit_grid(s["grid"], dim=2))
     solution = solve_bop(inst["problem"], inst["u"])
-    partition = classify_sets(solution)
-    result = mosco_convergence_experiment(solution, partition, inst["h"],
-                                          side=s["side"], schedule=schedule,
-                                          e=inst["e"])
+    result = mosco_convergence_experiment(solution, inst["h"], side=s["side"],
+                                          schedule=schedule, e=inst["e"])
     out = Path(args.out)
     write_mosco_csv(out / "mosco_errors.csv", result["steps"])
     report = {
@@ -223,14 +218,13 @@ def run_control(args) -> dict:
                          side=s["side"])
     out = Path(args.out)
     write_descent_csv(out / "control_trace.csv", trace.rows)
-    objectives = [row["objective"] for row in trace.rows]
     report = {
         "experiment": "control",
         "seed": s["seed"],
         "parameters": _parameters(s),
-        "initial_objective": objectives[0] if objectives else None,
-        "final_objective": objectives[-1] if objectives else None,
-        "strictly_decreasing": all(b < a for a, b in zip(objectives, objectives[1:])),
+        "initial_objective": trace.initial_objective,
+        "final_objective": trace.objectives[-1],
+        "strictly_decreasing": trace.strictly_decreasing,
         "termination": trace.termination,
         "line_search_failures": trace.line_search_failures,
     }

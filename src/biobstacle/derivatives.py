@@ -14,8 +14,7 @@ Three routes, kept deliberately independent so they can certify each other:
   collapse to D = inactive and agree with the cone VI.
 
 Each route differentiates at a solved point: it takes the BopSolution at u
-and that solution's SetPartition, and reads the problem and u off the
-solution.
+and reads the problem, u and the contact sets (BopSolution.sets) off it.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 from .controls import apply_control_derivative
 from .errors import InvalidD
 from .grid import GridFunction, require_same_grid
-from .multipliers import SetPartition, classify_sets, pair_inclusion_violations
+from .multipliers import SetPartition, pair_inclusion_violations
 from .obstacle import BopSolution, _reduced_solve, solve_bop, solve_vi_bounds
 
 SIDES = ("lower", "upper")
@@ -55,11 +54,7 @@ def _derivative_load(solution: BopSolution, h: GridFunction) -> np.ndarray:
     return apply_control_derivative(solution.problem.control, solution.u, h).values
 
 
-def directional_derivative(
-    solution: BopSolution,
-    partition: SetPartition,
-    h: GridFunction,
-) -> DerivativeResult:
+def directional_derivative(solution: BopSolution, h: GridFunction) -> DerivativeResult:
     """Directional derivative of the solution operator at solution.u along h.
 
     Solves the VI over the critical cone with projected SOR. The cone is
@@ -67,8 +62,8 @@ def directional_derivative(
     free on the inactive set, of one sign on weak contact, zero on strict
     contact.
     """
-    lo = np.where(domain_for_side(partition, "lower"), -np.inf, 0.0)
-    hi = np.where(domain_for_side(partition, "upper"), np.inf, 0.0)
+    lo = np.where(domain_for_side(solution.sets, "lower"), -np.inf, 0.0)
+    hi = np.where(domain_for_side(solution.sets, "upper"), np.inf, 0.0)
     problem = solution.problem
     eta, _, _ = solve_vi_bounds(problem.operator, _derivative_load(solution, h),
                                 lo, hi, tol=CONE_TOL)
@@ -84,13 +79,9 @@ def _reduced_derivative(solution: BopSolution, h: GridFunction,
     return DerivativeResult(eta=problem.grid.function(eta), D_used=D)
 
 
-def gateaux_derivative_on_D(
-    solution: BopSolution,
-    partition: SetPartition,
-    h: GridFunction,
-) -> DerivativeResult:
+def gateaux_derivative_on_D(solution: BopSolution, h: GridFunction) -> DerivativeResult:
     """Reduced variational equation on D = the inactive set."""
-    return _reduced_derivative(solution, h, partition.inactive)
+    return _reduced_derivative(solution, h, solution.sets.inactive)
 
 
 def domain_for_side(partition: SetPartition, side: str) -> np.ndarray:
@@ -106,28 +97,18 @@ def domain_for_side(partition: SetPartition, side: str) -> np.ndarray:
     return ~(partition.upper | partition.lower_strict)
 
 
-def generalized_derivative(
-    solution: BopSolution,
-    partition: SetPartition,
-    h: GridFunction,
-    side: str,
-) -> DerivativeResult:
+def generalized_derivative(solution: BopSolution, h: GridFunction,
+                           side: str) -> DerivativeResult:
     """One-sided generalized derivative via the reduced equation on the
     side's canonical domain."""
-    return _reduced_derivative(solution, h, domain_for_side(partition, side))
+    return _reduced_derivative(solution, h, domain_for_side(solution.sets, side))
 
 
-def mosco_convergence_experiment(
-    solution: BopSolution,
-    partition: SetPartition,
-    h: GridFunction,
-    side: str,
-    schedule: tuple[int, ...],
-    e: GridFunction,
-) -> dict:
+def mosco_convergence_experiment(solution: BopSolution, h: GridFunction, side: str,
+                                 schedule: tuple[int, ...], e: GridFunction) -> dict:
     """Reduced derivatives along a monotone control sequence u_n -> u.
 
-    The limit point is the given solution at u and its partition.
+    The limit point is the given solution at u and its contact sets.
     u_n = u - e/n for side="lower" (approach from below), u_n = u + e/n for
     side="upper". For each n the instance is re-solved from the nearby limit
     point (solve_bop's near), re-classified, and the reduced derivative on
@@ -140,17 +121,16 @@ def mosco_convergence_experiment(
         raise InvalidD("perturbation e must be positive nodewise")
     sign = -1.0 if side == "lower" else 1.0
 
-    limit_result = generalized_derivative(solution, partition, h, side)
+    limit_result = generalized_derivative(solution, h, side)
     eta_limit = limit_result.eta.values
 
     steps = []
     for n in schedule:
         sol_n = solve_bop(problem, u.with_values(u.values + sign * e.values / n),
                           near=solution)
-        part_n = classify_sets(sol_n)
-        result_n = generalized_derivative(sol_n, part_n, h, side)
-        pair = (partition, part_n) if side == "lower" else (part_n, partition)
-        sandwich = pair_inclusion_violations(*pair)
+        result_n = generalized_derivative(sol_n, h, side)
+        hi, lo = (solution, sol_n) if side == "lower" else (sol_n, solution)
+        sandwich = pair_inclusion_violations(hi.sets, lo.sets)
         steps.append({
             "n": int(n),
             "error": float(np.abs(result_n.eta.values - eta_limit).max()),

@@ -162,23 +162,23 @@ def pair_inclusion_violations(part_hi: SetPartition, part_lo: SetPartition) -> d
     }
 
 
-def mirror_check(solution: BopSolution, partition: SetPartition) -> tuple[float, int]:
+def mirror_check(solution: BopSolution) -> tuple[float, int]:
     """Solve the mirror problem, obstacles (-phi, -psi) with the same operator
-    and control, at -u, and compare it with the solution and its partition.
+    and control, at -u, and compare it with the solution and its sets.
 
     Every control map is odd (f(-u) = -f(u), bit for bit), so the mirror
     state is exactly -y and its lower and upper sets are the original's
     upper and lower ones. Returns (max |y_mirror + y|, number of nodes where
     the four masks fail to swap, summed over the masks).
     """
-    problem = solution.problem
+    problem, part = solution.problem, solution.sets
     pair = problem.obstacles
     mirror = replace(problem, obstacles=ObstaclePair(pair.grid, -pair.phi, -pair.psi))
     sol_m = solve_bop(mirror, solution.u.with_values(-solution.u.values))
-    part_m = classify_sets(sol_m)
+    part_m = sol_m.sets
     gap = float(np.abs(sol_m.y.values + solution.y.values).max())
-    mismatches = (int((part_m.lower != partition.upper).sum())
-                  + int((part_m.upper != partition.lower).sum())
-                  + int((part_m.lower_strict != partition.upper_strict).sum())
-                  + int((part_m.upper_strict != partition.lower_strict).sum()))
+    mismatches = (int((part_m.lower != part.upper).sum())
+                  + int((part_m.upper != part.lower).sum())
+                  + int((part_m.lower_strict != part.upper_strict).sum())
+                  + int((part_m.upper_strict != part.lower_strict).sum()))
     return gap, mismatches

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 import logging
 
 import numpy as np
@@ -105,6 +106,14 @@ class BopSolution:
     solver: str
     iterations: int
     residual_norm: float
+
+    @cached_property
+    def sets(self):
+        """The contact sets at this point (multipliers.SetPartition),
+        classified on first use: solve_bop never classifies, so a multiplier
+        that breaks the contact rule raises ComplementarityViolated here."""
+        from .multipliers import classify_sets
+        return classify_sets(self)
 
 
 def _residual(xi: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,

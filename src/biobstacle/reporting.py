@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .derivatives import DerivativeResult
 from .grid import Grid
-from .multipliers import SetPartition, node_flags
+from .multipliers import node_flags
 from .obstacle import BopSolution
 
 REPORT_SCHEMA_VERSION = "biobstacle-report/1"
@@ -76,11 +77,11 @@ def _coordinate_columns(grid: Grid) -> tuple[list[str], np.ndarray]:
     return names, grid.coordinates()
 
 
-def write_solution_csv(path, solution: BopSolution, partition: SetPartition) -> Path:
+def write_solution_csv(path, solution: BopSolution) -> Path:
     """Columns: node, x[, y_coord], y, xi, flag (lower/upper/inactive)."""
     grid = solution.problem.grid
     names, coords = _coordinate_columns(grid)
-    flags = node_flags(partition)
+    flags = node_flags(solution.sets)
     rows = (
         [i, *coords[i], solution.y.values[i], solution.xi.values[i], flags[i]]
         for i in range(grid.total)
@@ -88,12 +89,13 @@ def write_solution_csv(path, solution: BopSolution, partition: SetPartition) -> 
     return write_csv(path, ["node", *names, "y", "xi", "flag"], rows)
 
 
-def write_derivative_csv(path, grid: Grid, eta: np.ndarray,
-                         domain_mask: np.ndarray) -> Path:
-    """Columns: node, x[, y_coord], eta, in_D (0/1 mask dump)."""
+def write_derivative_csv(path, result: DerivativeResult) -> Path:
+    """Columns: node, x[, y_coord], eta, in_D (0/1 mask dump of the reduced
+    domain, so the result must come from a reduced route)."""
+    grid, eta = result.eta.grid, result.eta.values
     names, coords = _coordinate_columns(grid)
     rows = (
-        [i, *coords[i], eta[i], int(domain_mask[i])]
+        [i, *coords[i], eta[i], int(result.D_used[i])]
         for i in range(grid.total)
     )
     return write_csv(path, ["node", *names, "eta", "in_D"], rows)

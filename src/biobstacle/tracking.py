@@ -9,7 +9,8 @@ reduced derivative system on a one-sided domain D:
 
 g is a plain-dot functional on control space: g . w equals the directional
 derivative of J along w wherever J is differentiable. J and g are evaluated
-at a solved point: the BopSolution at u (and, for g, its SetPartition).
+at a solved point: the BopSolution at u, whose contact sets (BopSolution.sets)
+give g its domain D.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .controls import control_derivative_matrix
 from .derivatives import domain_for_side, reduced_linear_solve
 from .errors import InvalidSpec
 from .grid import GridFunction, mass_norm, require_same_grid
-from .multipliers import SetPartition, classify_sets
 from .obstacle import BopProblem, BopSolution, solve_bop
 
 # Armijo line search: the first trial step is 1/mass (scale-aware); a failed
@@ -59,14 +59,9 @@ def objective(cp: ControlProblem, solution: BopSolution) -> float:
     return 0.5 * mass_norm(misfit) ** 2 + 0.5 * cp.alpha * mass_norm(solution.u) ** 2
 
 
-def adjoint_subgradient(
-    cp: ControlProblem,
-    solution: BopSolution,
-    partition: SetPartition,
-    side: str,
-) -> Subgradient:
+def adjoint_subgradient(cp: ControlProblem, solution: BopSolution, side: str) -> Subgradient:
     """Subgradient of J at solution.u from the side's reduced adjoint system."""
-    D = domain_for_side(partition, side)
+    D = domain_for_side(solution.sets, side)
     problem, u = solution.problem, solution.u
     grid = problem.grid
     j_y = grid.mass * (solution.y.values - cp.y_target.values)
@@ -78,10 +73,21 @@ def adjoint_subgradient(
 
 @dataclass(frozen=True, eq=False)
 class DescentTrace:
+    initial_objective: float  # J at u0
     rows: list            # dicts: iter, objective, step, grad_norm, side
     u_final: GridFunction
     termination: str      # max_steps | grad_tol | line_search_failure
     line_search_failures: int
+
+    @property
+    def objectives(self) -> list[float]:
+        """J at u0, then after each row's step."""
+        return [self.initial_objective, *(row["objective"] for row in self.rows)]
+
+    @property
+    def strictly_decreasing(self) -> bool:
+        objectives = self.objectives
+        return all(b < a for a, b in zip(objectives, objectives[1:]))
 
 
 def descent_loop(
@@ -100,13 +106,13 @@ def descent_loop(
     accepted trial's solution gives the next subgradient.
     """
     solution = solve_bop(cp.bop, u0)
-    j = objective(cp, solution)
+    j = j0 = objective(cp, solution)
     trial = 1.0 / cp.bop.grid.mass
     rows = []
     failures = 0
     termination = "max_steps"
     for it in range(1, steps + 1):
-        sub = adjoint_subgradient(cp, solution, classify_sets(solution), side)
+        sub = adjoint_subgradient(cp, solution, side)
         g = sub.g.values
         slope = -float(g @ g)       # directional derivative along -g
         grad_norm = float(np.sqrt(-slope))
@@ -134,6 +140,6 @@ def descent_loop(
                      "grad_norm": grad_norm, "side": side})
         trial = s * STEP_GROWTH
     return DescentTrace(
-        rows=rows, u_final=solution.u, termination=termination,
+        initial_objective=j0, rows=rows, u_final=solution.u, termination=termination,
         line_search_failures=failures,
     )

@@ -30,7 +30,6 @@ from .grid import Grid
 from .multipliers import (
     EPS_ACTIVE,
     EPS_MULT,
-    classify_sets,
     mirror_check,
     node_flags,
     pair_inclusion_violations,
@@ -143,11 +142,11 @@ def criterion_1(seed: int) -> dict:
         grid = problems.unit_grid(n, dim=1)
         problem, u = problems.random_instance(grid, rng)
         reference = solve_by_enumeration(problem, u)
-        ref_flags = node_flags(classify_sets(reference))
+        ref_flags = node_flags(reference.sets)
         for method in ("psor", "pdas"):
             sol = solve_bop(problem, u, method=method, tol=solve_tol)
             worst_y = max(worst_y, float(np.abs(sol.y.values - reference.y.values).max()))
-            flags = node_flags(classify_sets(sol))
+            flags = node_flags(sol.sets)
             pattern_mismatches += int((flags != ref_flags).sum())
     return _judged({
         "criterion": 1,
@@ -188,21 +187,18 @@ def criterion_2(seed: int) -> dict:
     inclusion_violations = 0
     reflection_mismatches = 0
     for sol_hi, sol_lo in _solved_pairs(grid, rng):
-        part_hi = classify_sets(sol_hi)
-        part_lo = classify_sets(sol_lo)
-        inclusion_violations += sum(pair_inclusion_violations(part_hi, part_lo).values())
+        inclusion_violations += sum(pair_inclusion_violations(sol_hi.sets,
+                                                              sol_lo.sets).values())
         # every control map is odd, so the mirror would hold for the other
         # kind too; it is kept to identity draws because it costs two more
         # solves per pair
         if sol_hi.problem.control.kind == "identity":
-            reflection_mismatches += (mirror_check(sol_hi, part_hi)[1]
-                                      + mirror_check(sol_lo, part_lo)[1])
+            reflection_mismatches += mirror_check(sol_hi)[1] + mirror_check(sol_lo)[1]
 
     worst_multiplier = -np.inf    # xi_hi - xi_lo on shared contact; capped too
     shared_contact_nodes = 0
     for sol_hi, sol_lo in _solved_pairs(grid, rng):
-        part_hi = classify_sets(sol_hi)
-        part_lo = classify_sets(sol_lo)
+        part_hi, part_lo = sol_hi.sets, sol_lo.sets
         shared = (part_hi.lower & part_lo.lower) | (part_hi.upper & part_lo.upper)
         shared_contact_nodes += int(shared.sum())
         if shared.any():
@@ -258,7 +254,7 @@ def criterion_4(seed: int) -> dict:
     for _ in range(20):
         problem, u = problems.random_instance(grid, rng, control_kinds=("identity",))
         sol = solve_bop(problem, u)
-        gap, mismatches = mirror_check(sol, classify_sets(sol))
+        gap, mismatches = mirror_check(sol)
         worst = max(worst, gap)
         swap_mismatches += mismatches
     return _judged({
@@ -308,13 +304,12 @@ def criterion_6(seed: int) -> dict:
     inst = problems.derivative_instance(problems.unit_grid(32, dim=2))
     problem, u, h = inst["problem"], inst["u"], inst["h"]
     sol = solve_bop(problem, u)
-    part = classify_sets(sol)
     manufactured_state_gap = float(np.abs(sol.y.values - inst["y_star"].values).max())
     h_neg = h.with_values(-h.values)
 
-    cone_plus = directional_derivative(sol, part, h)
-    cone_minus = directional_derivative(sol, part, h_neg)
-    reduced = gateaux_derivative_on_D(sol, part, h)
+    cone_plus = directional_derivative(sol, h)
+    cone_minus = directional_derivative(sol, h_neg)
+    reduced = gateaux_derivative_on_D(sol, h)
     eta = reduced.eta.values
     agreement_plus = float(np.abs(cone_plus.eta.values - eta).max())
     agreement_minus = float(np.abs(cone_minus.eta.values + eta).max())
@@ -332,7 +327,7 @@ def criterion_6(seed: int) -> dict:
         "criterion": 6,
         "name": "derivative_consistency",
         "manufactured_state_gap": manufactured_state_gap,
-        "weak_nodes": int((part.lower_weak | part.upper_weak).sum()),
+        "weak_nodes": int((sol.sets.lower_weak | sol.sets.upper_weak).sum()),
         "agreement_plus": agreement_plus,
         "agreement_minus": agreement_minus,
         "fd_errors": errors,
@@ -348,19 +343,17 @@ def criterion_7(seed: int) -> dict:
     schedule = (2, 4, 8, 16, 32, 64, 128, 256)
 
     sol = solve_bop(problem, u)
-    part = classify_sets(sol)
-    runs = {side: mosco_convergence_experiment(sol, part, h, side=side,
-                                               schedule=schedule, e=e)
+    runs = {side: mosco_convergence_experiment(sol, h, side=side, schedule=schedule, e=e)
             for side in ("lower", "upper")}
-    eta_lower = generalized_derivative(sol, part, h, "lower").eta.values
-    eta_upper = generalized_derivative(sol, part, h, "upper").eta.values
+    eta_lower = generalized_derivative(sol, h, "lower").eta.values
+    eta_upper = generalized_derivative(sol, h, "upper").eta.values
     side_gap = float(np.abs(eta_lower - eta_upper).max())
 
     return _judged({
         "criterion": 7,
         "name": "mosco_limit",
         "schedule": list(schedule),
-        "weak_nodes": int((part.lower_weak | part.upper_weak).sum()),
+        "weak_nodes": int((sol.sets.lower_weak | sol.sets.upper_weak).sum()),
         "final_error_lower": runs["lower"]["final_error"],
         "final_error_upper": runs["upper"]["final_error"],
         "tail_nonincreasing_lower": runs["lower"]["errors_nonincreasing_tail"],
@@ -392,9 +385,8 @@ def criterion_8(seed: int) -> dict:
     for _ in range(10):
         u = problems.perturbed_control(inst, rng)
         sol = solve_bop(problem, u)
-        part = classify_sets(sol)
-        weak_nodes += int((part.lower_weak | part.upper_weak).sum())
-        sub = adjoint_subgradient(cp, sol, part, side="lower")
+        weak_nodes += int((sol.sets.lower_weak | sol.sets.upper_weak).sum())
+        sub = adjoint_subgradient(cp, sol, side="lower")
         fprime = control_derivative_matrix(problem.control, u)
         for _ in range(3):
             w = rng.standard_normal(grid.total)
@@ -412,8 +404,6 @@ def criterion_8(seed: int) -> dict:
 
     trace = descent_loop(cp, problems.perturbed_control(inst, rng), steps=50,
                          side="lower")
-    objectives = [row["objective"] for row in trace.rows]
-    strict_decrease = all(b < a for a, b in zip(objectives, objectives[1:]))
 
     return _judged({
         "criterion": 8,
@@ -422,8 +412,8 @@ def criterion_8(seed: int) -> dict:
         "generic_weak_nodes": weak_nodes,
         "worst_adjoint_identity_gap": worst_adjoint,
         "worst_cd_relative_error": worst_cd,
-        "descent_steps": len(objectives),
-        "descent_strictly_decreasing": strict_decrease,
+        "descent_steps": len(trace.rows),
+        "descent_strictly_decreasing": trace.strictly_decreasing,
         "descent_termination": trace.termination,
     })
 

@@ -63,6 +63,16 @@ def test_derivative_mosco_control_smoke(tmp_path):
     assert len(lines) == 1 + 5
 
 
+def test_control_reports_the_objective_at_the_starting_control(tmp_path):
+    """One accepted step: the report's first objective is J at u0, not the
+    objective after that step."""
+    code, out = _run(tmp_path, "control", "--grid", "10", "--steps", "1")
+    assert code == 0
+    report = json.loads((out / "control_report.json").read_text())
+    assert report["initial_objective"] > report["final_objective"]
+    assert report["strictly_decreasing"] is True
+
+
 def test_counterexample_small_run(tmp_path):
     code, out = _run(tmp_path, "counterexample", "--K", "1500")
     assert code == 0

@@ -35,16 +35,14 @@ from biobstacle.problems import manufactured_instance, mode_field, unit_grid
 def strict_setup():
     inst = manufactured_instance(unit_grid(20, dim=2))
     sol = solve_bop(inst["problem"], inst["u"])
-    part = classify_sets(sol)
-    return inst, sol, part
+    return inst, sol, sol.sets
 
 
 @pytest.fixture(scope="module")
 def biactive_setup():
     inst = manufactured_instance(unit_grid(20, dim=2), biactive=True)
     sol = solve_bop(inst["problem"], inst["u"])
-    part = classify_sets(sol)
-    return inst, sol, part
+    return inst, sol, sol.sets
 
 
 def _h(grid, amplitude=40.0):
@@ -54,8 +52,8 @@ def _h(grid, amplitude=40.0):
 def test_directional_equals_reduced_under_strict_complementarity(strict_setup):
     _, sol, part = strict_setup
     h = _h(sol.problem.grid)
-    cone = directional_derivative(sol, part, h)
-    reduced = gateaux_derivative_on_D(sol, part, h)
+    cone = directional_derivative(sol, h)
+    reduced = gateaux_derivative_on_D(sol, h)
     np.testing.assert_allclose(cone.eta.values, reduced.eta.values, atol=1e-9)
     assert reduced.D_used.sum() == part.inactive.sum()
 
@@ -64,7 +62,7 @@ def test_fd_quotients_converge_to_derivative(strict_setup):
     inst, sol, part = strict_setup
     problem, u = inst["problem"], inst["u"]
     h = _h(problem.grid)
-    eta = gateaux_derivative_on_D(sol, part, h).eta.values
+    eta = gateaux_derivative_on_D(sol, h).eta.values
     errs = []
     for t in (1e-2, 1e-3, 1e-4):
         u_t = u.with_values(u.values + t * h.values)
@@ -78,8 +76,8 @@ def test_fd_quotients_converge_to_derivative(strict_setup):
 def test_positive_homogeneity(strict_setup):
     _, sol, part = strict_setup
     h = _h(sol.problem.grid)
-    one = directional_derivative(sol, part, h).eta.values
-    three = directional_derivative(sol, part, h.with_values(3.0 * h.values)).eta.values
+    one = directional_derivative(sol, h).eta.values
+    three = directional_derivative(sol, h.with_values(3.0 * h.values)).eta.values
     np.testing.assert_allclose(three, 3.0 * one, atol=1e-8)
 
 
@@ -91,7 +89,7 @@ def test_linearity_under_strict_complementarity(strict_setup):
     b = grid.function(rng.standard_normal(grid.total))
 
     def reduced(h):
-        return gateaux_derivative_on_D(sol, part, h).eta.values
+        return gateaux_derivative_on_D(sol, h).eta.values
 
     combo = grid.function(2.0 * a.values - 0.5 * b.values)
     np.testing.assert_allclose(
@@ -102,24 +100,24 @@ def test_linearity_under_strict_complementarity(strict_setup):
 def test_negated_direction_flips_sign_when_strict(strict_setup):
     _, sol, part = strict_setup
     h = _h(sol.problem.grid)
-    plus = directional_derivative(sol, part, h).eta.values
-    minus = directional_derivative(sol, part, h.with_values(-h.values)).eta.values
+    plus = directional_derivative(sol, h).eta.values
+    minus = directional_derivative(sol, h.with_values(-h.values)).eta.values
     np.testing.assert_allclose(minus, -plus, atol=1e-9)
 
 
 def test_sides_coincide_on_strict_instances(strict_setup):
     _, sol, part = strict_setup
     h = _h(sol.problem.grid)
-    lower = generalized_derivative(sol, part, h, "lower").eta.values
-    upper = generalized_derivative(sol, part, h, "upper").eta.values
+    lower = generalized_derivative(sol, h, "lower").eta.values
+    upper = generalized_derivative(sol, h, "upper").eta.values
     np.testing.assert_allclose(lower, upper, atol=1e-12)
 
 
 def test_sides_differ_on_biactive_instances(biactive_setup):
     _, sol, part = biactive_setup
     h = _h(sol.problem.grid)
-    lower = generalized_derivative(sol, part, h, "lower")
-    upper = generalized_derivative(sol, part, h, "upper")
+    lower = generalized_derivative(sol, h, "lower")
+    upper = generalized_derivative(sol, h, "upper")
     gap = np.abs(lower.eta.values - upper.eta.values).max()
     assert gap > 1e-4
     # lower side keeps the weak upper nodes, drops the weak lower nodes
@@ -137,15 +135,15 @@ def test_one_sided_quotients_match_their_side(biactive_setup):
     problem, u = inst["problem"], inst["u"]
     h = _h(problem.grid)
     t = 1e-4
-    eta_lower = generalized_derivative(sol, part, h, "lower").eta.values
+    eta_lower = generalized_derivative(sol, h, "lower").eta.values
     # directional derivative along h computed by the cone VI agrees with a
     # small one-sided quotient regardless of side bookkeeping
-    cone = directional_derivative(sol, part, h).eta.values
+    cone = directional_derivative(sol, h).eta.values
     y_t = solve_bop(problem, u.with_values(u.values + t * h.values)).y.values
     quotient = (y_t - sol.y.values) / t
     assert np.abs(quotient - cone).max() <= 1e-3 * np.abs(cone).max()
     # and the cone solution lives between the two one-sided reduced objects
-    eta_upper = generalized_derivative(sol, part, h, "upper").eta.values
+    eta_upper = generalized_derivative(sol, h, "upper").eta.values
     lo = np.minimum(eta_lower, eta_upper) - 1e-9
     hi = np.maximum(eta_lower, eta_upper) + 1e-9
     assert ((cone >= lo) & (cone <= hi)).mean() > 0.99
@@ -217,7 +215,7 @@ def test_mosco_experiment_tail_and_sandwich(biactive_setup):
     h = _h(sol.problem.grid)
     e = sol.problem.grid.constant(5.0)
     for side in ("lower", "upper"):
-        out = mosco_convergence_experiment(sol, part, h, side=side,
+        out = mosco_convergence_experiment(sol, h, side=side,
                                            schedule=(4, 16, 64, 256), e=e)
         assert out["side"] == side
         assert out["errors_nonincreasing_tail"]
@@ -236,7 +234,7 @@ def test_mosco_solves_once_per_schedule_step(biactive_setup, monkeypatch):
 
     monkeypatch.setattr(derivatives, "solve_bop", counting_solve)
     schedule = (4, 16, 64)
-    mosco_convergence_experiment(sol, part, _h(sol.problem.grid), side="upper",
+    mosco_convergence_experiment(sol, _h(sol.problem.grid), side="upper",
                                  schedule=schedule, e=sol.problem.grid.constant(5.0))
     assert len(solves) == len(schedule)
     assert all((u_n.values > sol.u.values).all() for u_n, _ in solves)
@@ -248,10 +246,10 @@ def test_mosco_perturbation_must_be_positive(biactive_setup):
     _, sol, part = biactive_setup
     h = _h(sol.problem.grid)
     with pytest.raises(InvalidD):
-        mosco_convergence_experiment(sol, part, h, side="lower", schedule=(2,),
+        mosco_convergence_experiment(sol, h, side="lower", schedule=(2,),
                                      e=sol.problem.grid.constant(0.0))
     with pytest.raises(InvalidD):
-        mosco_convergence_experiment(sol, part, h, side="sideways", schedule=(2,),
+        mosco_convergence_experiment(sol, h, side="sideways", schedule=(2,),
                                      e=sol.problem.grid.constant(1.0))
 
 
@@ -265,7 +263,7 @@ def test_sandwich_report_structure(biactive_setup):
     assert same == dict.fromkeys(keys, 0)
     e = sol.problem.grid.constant(5.0)
     for side, sign in (("lower", -1.0), ("upper", 1.0)):
-        step = mosco_convergence_experiment(sol, part, _h(sol.problem.grid),
+        step = mosco_convergence_experiment(sol, _h(sol.problem.grid),
                                             side=side, schedule=(2,), e=e)["steps"][0]
         assert step["sandwich_ok"] and step["sandwich"] == same
         sol_n = solve_bop(sol.problem, sol.u.with_values(sol.u.values + sign * e.values / 2))

@@ -8,10 +8,10 @@ import pytest
 from biobstacle import (
     BopProblem,
     ControlOperator,
+    DerivativeResult,
     ObstaclePair,
     OperatorSpec,
     assemble,
-    classify_sets,
     solve_bop,
 )
 from biobstacle.problems import unit_grid
@@ -111,9 +111,7 @@ def test_write_csv_is_byte_deterministic(tmp_path):
 
 def test_solution_csv_flags(tmp_path):
     problem, sol = _solved_instance()
-    partition = classify_sets(sol)
-    lines = write_solution_csv(
-        tmp_path / "flagged.csv", sol, partition).read_text().splitlines()
+    lines = write_solution_csv(tmp_path / "flagged.csv", sol).read_text().splitlines()
     assert lines[0] == "node,x,y,xi,flag"
     flags = {line.rsplit(",", 1)[1] for line in lines[1:]}
     assert flags <= {"lower", "upper", "inactive"}
@@ -124,8 +122,8 @@ def test_derivative_csv_mask_column(tmp_path):
     grid = unit_grid(3, dim=1)
     eta = np.array([0.5, 0.0, -0.5])
     mask = np.array([True, False, True])
-    lines = write_derivative_csv(
-        tmp_path / "eta.csv", grid, eta, mask).read_text().splitlines()
+    result = DerivativeResult(eta=grid.function(eta), D_used=mask)
+    lines = write_derivative_csv(tmp_path / "eta.csv", result).read_text().splitlines()
     assert lines[0] == "node,x,eta,in_D"
     assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["1", "0", "1"]
 

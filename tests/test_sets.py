@@ -137,7 +137,7 @@ def test_classification_is_threshold_stable(solved_biactive, monkeypatch):
         assert classify_sets(sol).counts() == base
 
 
-def _cone_bounds(sol, part, monkeypatch):
+def _cone_bounds(sol, monkeypatch):
     """The per-node bounds (lo, hi) that directional_derivative hands to the
     cone VI."""
     seen = []
@@ -147,7 +147,7 @@ def _cone_bounds(sol, part, monkeypatch):
         return solve_vi_bounds(operator, rhs, lo, hi, **kwargs)
 
     monkeypatch.setattr(derivatives, "solve_vi_bounds", capture)
-    directional_derivative(sol, part, sol.problem.grid.constant(1.0))
+    directional_derivative(sol, sol.problem.grid.constant(1.0))
     return seen[0]
 
 
@@ -155,8 +155,8 @@ def test_critical_cone_classes(solved_biactive, monkeypatch):
     """Free on the inactive set, [0, inf) on weak lower contact, (-inf, 0] on
     weak upper contact, {0} on strict contact."""
     _, sol = solved_biactive
-    part = classify_sets(sol)
-    lo, hi = _cone_bounds(sol, part, monkeypatch)
+    part = sol.sets
+    lo, hi = _cone_bounds(sol, monkeypatch)
     strict = part.lower_strict | part.upper_strict
     for mask, bounds in ((part.inactive, (-np.inf, np.inf)),
                          (part.lower_weak, (0.0, np.inf)),
@@ -171,8 +171,8 @@ def test_critical_cone_projection_and_membership(solved_biactive, monkeypatch):
     is admitted, a point 1e-9 off a zero constraint is rejected, and one
     within 1e-12 of it is admitted."""
     _, sol = solved_biactive
-    part = classify_sets(sol)
-    lo, hi = _cone_bounds(sol, part, monkeypatch)
+    part = sol.sets
+    lo, hi = _cone_bounds(sol, monkeypatch)
     rng = np.random.default_rng(1)
     projected = np.clip(rng.standard_normal(sol.y.values.size), lo, hi)
     strict = part.lower_strict | part.upper_strict
@@ -183,10 +183,10 @@ def test_critical_cone_projection_and_membership(solved_biactive, monkeypatch):
         monkeypatch.setattr(derivatives, "solve_vi_bounds",
                             lambda *args, eta=eta, **kwargs: (eta, 0, 0.0))
         if admitted:
-            assert (directional_derivative(sol, part, h).eta.values == eta).all()
+            assert (directional_derivative(sol, h).eta.values == eta).all()
         else:
             with pytest.raises(InvalidD):
-                directional_derivative(sol, part, h)
+                directional_derivative(sol, h)
 
 
 def test_strict_set_monotonicity_on_random_pairs():
@@ -198,11 +198,26 @@ def test_strict_set_monotonicity_on_random_pairs():
         u_hi, u_lo = monotone_control_pair(grid, rng)
         assert (u_hi.values >= u_lo.values).all()
         sol_hi, sol_lo = solve_bop(problem, u_hi), solve_bop(problem, u_lo)
-        part_hi, part_lo = classify_sets(sol_hi), classify_sets(sol_lo)
-        report = pair_inclusion_violations(part_hi, part_lo)
+        report = pair_inclusion_violations(sol_hi.sets, sol_lo.sets)
         assert not any(report.values()), report
         if problem.control.kind == "identity":
-            assert mirror_check(sol_hi, part_hi)[1] == 0
-            assert mirror_check(sol_lo, part_lo)[1] == 0
+            assert mirror_check(sol_hi)[1] == 0
+            assert mirror_check(sol_lo)[1] == 0
             checked_reflection += 1
     assert checked_reflection >= 1  # identity-control draws exercise the cross-check
+
+
+def test_sets_are_classified_on_first_read_and_kept():
+    """solve_bop never classifies: the PSOR solve of `solve --grid 16
+    --method psor` returns with multiplier mass off contact, and only
+    reading its sets raises. A solution classifies once and keeps the
+    result."""
+    rng = np.random.default_rng([0, 101])
+    problem, u = random_instance(unit_grid(16, dim=2), rng)
+    sol = solve_bop(problem, u, method="psor")
+    assert sol.iterations == 13
+    with pytest.raises(ComplementarityViolated,
+                       match="161 interior nodes carry multiplier mass up to 1.772e-06"):
+        sol.sets
+    sol = solve_bop(problem, u)
+    assert sol.sets is sol.sets

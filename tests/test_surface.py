@@ -1,5 +1,6 @@
-"""Every public name in the package has a use outside tests, and every
-name a package module imports is used in that module.
+"""Every public name in the package has a use outside tests, every name a
+package module imports is used in that module, and no public function
+takes a solution beside its contact sets.
 
 Walks the syntax trees of src/, demos/ and perfbench/. Each public
 top-level function and class of src/biobstacle, and each public method and
@@ -120,3 +121,21 @@ def test_no_module_imports_a_name_it_does_not_use():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in _imported_names(tree).items() if name not in used]
     assert unused == [], f"imports that the module never uses: {unused}"
+
+
+def test_no_public_function_takes_a_solution_beside_its_sets():
+    """A solution carries its contact sets (``BopSolution.sets``), so no
+    public function takes a ``SetPartition`` beside a ``BopSolution`` that
+    the sets could be read off, and nothing has to check that the two
+    belong together."""
+    both = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            params = (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+            annotated = {ast.unparse(p.annotation).strip("'\"")
+                         for p in params if p.annotation is not None}
+            if {"BopSolution", "SetPartition"} <= annotated:
+                both.append(f"{path.name}:{node.lineno} {node.name}")
+    assert both == [], f"functions that take a solution and its sets: {both}"

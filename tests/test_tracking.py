@@ -44,7 +44,7 @@ def _objective_at(cp, u):
 
 def _subgradient_at(cp, u, side="lower"):
     sol = solve_bop(cp.bop, u)
-    return adjoint_subgradient(cp, sol, classify_sets(sol), side)
+    return adjoint_subgradient(cp, sol, side)
 
 
 def test_gradient_matches_dense_formula():
@@ -54,9 +54,9 @@ def test_gradient_matches_dense_formula():
     grid = cp.bop.grid
     u = grid.function(rng.standard_normal(grid.total))
     sol = solve_bop(cp.bop, u)
-    part = classify_sets(sol)
+    part = sol.sets
     assert part.counts()["inactive"] == grid.total
-    sub = adjoint_subgradient(cp, sol, part, side="lower")
+    sub = adjoint_subgradient(cp, sol, side="lower")
     A = cp.bop.operator.matrix
     q = spla.spsolve(A.T.tocsc(), grid.mass * (sol.y.values - cp.y_target.values))
     expected = grid.mass * q + cp.alpha * grid.mass * u.values
@@ -101,12 +101,12 @@ def test_subgradient_respects_one_sided_domain():
                         y_target=grid.function(inst["y_star"].values - 0.002),
                         alpha=1e-8)
     sol = solve_bop(cp.bop, inst["u"])
-    part = classify_sets(sol)
-    sub = adjoint_subgradient(cp, sol, part, side="lower")
+    part = sol.sets
+    sub = adjoint_subgradient(cp, sol, side="lower")
     assert (sub.q.values[part.lower] == 0.0).all()
     assert (sub.q.values[part.upper] == 0.0).all()
     with pytest.raises(InvalidD):
-        adjoint_subgradient(cp, sol, part, side="diagonal")
+        adjoint_subgradient(cp, sol, side="diagonal")
 
 
 def test_descent_strictly_decreases_objective():
@@ -194,7 +194,7 @@ def test_descent_reaches_grad_tol_on_easy_problem(monkeypatch):
     trace = descent_loop(cp, u0, steps=2000, side="lower")
     assert trace.termination == "grad_tol"
     final = solve_bop(cp.bop, trace.u_final)
-    sub = adjoint_subgradient(cp, final, classify_sets(final), side="lower")
+    sub = adjoint_subgradient(cp, final, side="lower")
     assert np.linalg.norm(sub.g.values) <= 1e-11
 
 
