@@ -186,6 +186,28 @@ class AssembledOperator:
             return None
         return operator, restrict, prolong
 
+    @cached_property
+    def relaxation(self) -> float:
+        """Young's optimal SOR relaxation 2/(1 + sqrt(1 - rho^2)) of the
+        red-black ordered stencil, rho its Jacobi radius.
+
+        rho is read off the stencil that assemble builds: per axis with more
+        than one node, the axis weight 2/h^2 times sqrt(1 - P^2)*cos(pi*h),
+        P = h*|velocity|/2 the cell Peclet number, summed and divided by the
+        diagonal (2/h^2 over every axis, plus the reaction). The Laplacian on
+        the square grid gets 2/(1 + sin(pi*h)); P = 1 on every axis gets 1.
+        """
+        velocity = self.spec.convection or (0.0,) * self.grid.dim
+        diagonal, coupling = self.spec.reaction, 0.0
+        for n, h, b in zip(self.grid.shape, self.grid.spacing, velocity):
+            weight = 2.0 / (h * h)
+            diagonal += weight
+            if n > 1:
+                peclet = h * abs(b) / 2.0
+                coupling += weight * math.sqrt(1.0 - peclet * peclet) * math.cos(math.pi * h)
+        rho = coupling / diagonal
+        return 2.0 / (1.0 + math.sqrt(1.0 - rho * rho))
+
 
 def assemble(grid: Grid, spec: OperatorSpec) -> AssembledOperator:
     """The matrix of spec on grid, straight from the 5-point stencil: per

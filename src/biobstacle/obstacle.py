@@ -39,7 +39,6 @@ from .grid import (
 # unless the application configures logging
 log = logging.getLogger("biobstacle.obstacle")
 
-PSOR_RELAXATION = 1.5
 # method -> (tolerance on the natural residual, iteration cap)
 SOLVER_DEFAULTS = {"psor": (1e-8, 200_000), "pdas": (1e-10, 200)}
 # PDAS seeds from the half-size grid once that grid has this many nodes per
@@ -151,8 +150,17 @@ def _reduced_solve(
              np.append(kept[indptr[:-1][free]], kept[-1])),
             shape=(m, m),
         )
-        x[free] = spla.splu(block).solve(rhs)
+        x[free] = _factor(block).solve(rhs)
     return x
+
+
+def _factor(block: sp.csc_matrix) -> spla.SuperLU:
+    """LU of a free block, tuned to it: every block is a principal block of
+    an M-matrix, so its pattern is symmetric and it factors without pivoting.
+    Minimum degree on A^T + A with diagonal pivots fills less than splu's
+    default, COLAMD with partial pivoting."""
+    return spla.splu(block, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
 
 
 def _active_sets(xi: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -315,9 +323,11 @@ def solve_vi_bounds(
     infinite) bounds, from the projection of 0.
 
     The PSOR backend of solve_bop(method="psor") and of the critical-cone
-    problems, whose bounds mix 0 and +-inf. Relaxation PSOR_RELAXATION,
-    iteration cap SOLVER_DEFAULTS["psor"], red-black sweep order vectorized
-    per color. Returns (x, sweeps, residual).
+    problems, whose bounds mix 0 and +-inf. Relaxation operator.relaxation
+    (Young's optimal value for the stencil), iteration cap
+    SOLVER_DEFAULTS["psor"], red-black sweep order vectorized per color.
+    Raises NoConvergence at the cap, or at the first sweep whose residual is
+    not finite. Returns (x, sweeps, residual).
     """
     x = np.clip(np.zeros(operator.grid.total), lo, hi)
     if not np.isfinite(x).all():
@@ -326,16 +336,19 @@ def solve_vi_bounds(
     colors = operator.grid.checkerboard()
     scale = natural_scale(operator.grid)
     max_iter = SOLVER_DEFAULTS["psor"][1]
+    omega = operator.relaxation
     diag = matrix.diagonal()
     rows = [matrix[c] for c in colors]
     err = np.inf
     for it in range(1, max_iter + 1):
         for c, rows_c in zip(colors, rows):
             r = b[c] - rows_c @ x
-            x[c] = np.clip(x[c] + PSOR_RELAXATION * r / diag[c], lo[c], hi[c])
+            x[c] = np.clip(x[c] + omega * r / diag[c], lo[c], hi[c])
         err = _residual(matrix @ x - b, x, lo, hi, scale)
         if err <= tol:
             return x, it, err
+        if not np.isfinite(err):
+            raise NoConvergence("psor", it, err)
     raise NoConvergence("psor", max_iter, err)
 
 
@@ -348,12 +361,12 @@ def solve_bop(
 ) -> BopSolution:
     """Solve the bilateral obstacle problem at control u.
 
-    method="psor": solve_vi_bounds, projected SOR with relaxation 1.5 and
-    default tolerance 1e-8. method="pdas": _pdas_solve, primal-dual active
-    set with exact reduced solves and default tolerance 1e-10, started from
-    the half-size grid's solution on large grids and from empty sets
-    otherwise. Tolerances are on the natural residual
-    max|y - median(psi, y - h_min^2 * xi, phi)|.
+    method="psor": solve_vi_bounds, projected SOR with the operator's
+    relaxation (AssembledOperator.relaxation) and default tolerance 1e-8.
+    method="pdas": _pdas_solve, primal-dual active set with exact reduced
+    solves and default tolerance 1e-10, started from the half-size grid's
+    solution on large grids and from empty sets otherwise. Tolerances are
+    on the natural residual max|y - median(psi, y - h_min^2 * xi, phi)|.
 
     near is a solution of the same problem at a nearby control. PDAS then
     starts from the active sets that near's state implies under the load

@@ -10,7 +10,6 @@ one-sided objects survive, and the two sides must genuinely differ.
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
 
 from biobstacle import (
     OperatorSpec,
@@ -27,7 +26,7 @@ from biobstacle import (
 from biobstacle import derivatives
 from biobstacle.derivatives import reduced_linear_solve
 from biobstacle.errors import InvalidD
-from biobstacle.obstacle import _reduced_solve
+from biobstacle.obstacle import _factor, _reduced_solve
 from biobstacle.problems import manufactured_instance, mode_field, unit_grid
 
 
@@ -177,11 +176,12 @@ def test_reduced_solve_zero_outside_domain(strict_setup, kind, adjoint):
 
 
 def _sliced_reduced_solve(matrix, b, free, x):
-    """Reference: the free block sliced out of the CSR matrix."""
+    """Reference: the free block sliced out of the CSR matrix, factored
+    like the kernel's."""
     x = x.copy()
     rows = matrix[free]
     rhs = b[free] - rows[:, ~free] @ x[~free]
-    x[free] = splu(rows[:, free].tocsc()).solve(rhs)
+    x[free] = _factor(rows[:, free].tocsc()).solve(rhs)
     return x
 
 
@@ -190,7 +190,7 @@ def _sliced_reduced_solve(matrix, b, free, x):
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 def test_reduced_solve_matches_slicing_bit_for_bit(strict_setup, mask, kind, adjoint):
     """The free block read off the transpose's CSR arrays is the sliced block
-    entry for entry, so splu returns the same bits: for the zero start of
+    entry for entry, so _factor returns the same bits: for the zero start of
     the derivative systems and for a PDAS start that is nonzero off the
     free set."""
     _, _, part = strict_setup

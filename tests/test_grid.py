@@ -97,6 +97,36 @@ def test_spec_validation():
         assemble(Grid((3, 3)), OperatorSpec("laplacian_plus_convection", convection=(1.0,)))
 
 
+@pytest.mark.parametrize("n", [7, 32, 63, 128])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_relaxation_of_the_laplacian_is_youngs(n, dim):
+    op = assemble(unit_grid(n, dim=dim), OperatorSpec("laplacian"))
+    h = 1.0 / (n + 1)
+    assert op.relaxation == pytest.approx(2.0 / (1.0 + math.sin(math.pi * h)), rel=1e-12)
+
+
+def test_relaxation_is_one_at_the_peclet_limit_on_both_axes():
+    n = 63
+    limit = 2.0 * (n + 1)
+    spec = OperatorSpec("laplacian_plus_convection", convection=(limit, -limit))
+    assert assemble(unit_grid(n, dim=2), spec).relaxation == 1.0
+
+
+@pytest.mark.parametrize("shape, spec", [
+    ((5, 7), OperatorSpec("laplacian")),
+    ((6, 1), OperatorSpec("laplacian_plus_reaction", reaction=30.0)),
+    ((5, 7), OperatorSpec("laplacian_plus_convection", convection=(9.0, -12.0))),
+    ((8, 4), OperatorSpec("laplacian_plus_convection", reaction=5.0, convection=(9.0, 0.0))),
+])
+def test_relaxation_reads_the_jacobi_radius_off_the_stencil(shape, spec):
+    """Young's formula on the spectral radius of I - D^-1 A, computed densely."""
+    op = assemble(Grid(shape), spec)
+    dense = op.matrix.toarray()
+    jacobi = np.eye(len(dense)) - dense / np.diag(dense)[:, None]
+    rho = np.abs(np.linalg.eigvals(jacobi)).max()
+    assert op.relaxation == pytest.approx(2.0 / (1.0 + math.sqrt(1.0 - rho * rho)), rel=1e-9)
+
+
 def test_grid_geometry():
     grid = Grid((3, 4))
     assert grid.spacing == (0.25, 0.2)

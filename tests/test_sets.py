@@ -215,9 +215,9 @@ def test_sets_are_classified_on_first_read_and_kept():
     rng = np.random.default_rng([0, 101])
     problem, u = random_instance(unit_grid(16, dim=2), rng)
     sol = solve_bop(problem, u, method="psor")
-    assert sol.iterations == 13
+    assert sol.iterations == 22
     with pytest.raises(ComplementarityViolated,
-                       match="161 interior nodes carry multiplier mass up to 1.772e-06"):
+                       match="160 interior nodes carry multiplier mass up to 2.463e-06"):
         sol.sets
     sol = solve_bop(problem, u)
     assert sol.sets is sol.sets

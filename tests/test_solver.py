@@ -26,7 +26,7 @@ from biobstacle import (
     solve_by_enumeration,
     solve_vi_bounds,
 )
-from biobstacle import obstacle
+from biobstacle import obstacle, problems
 from biobstacle.errors import (
     InfeasibleObstacles,
     InvalidSpec,
@@ -583,6 +583,43 @@ def test_psor_reports_nonconvergence(monkeypatch):
     assert info.value.method == "psor"
     assert info.value.iterations == 1
     assert info.value.residual > 1e-12
+
+
+def test_psor_raises_at_the_first_nonfinite_residual():
+    """A NaN in the load stops PSOR after one sweep, not at the cap."""
+    problem, u = random_instance(unit_grid(10, dim=2), np.random.default_rng(23))
+    b = problem.load(u).copy()
+    b[b.size // 2] = np.nan
+    with pytest.raises(NoConvergence) as info:
+        solve_vi_bounds(problem.operator, b, problem.obstacles.psi,
+                        problem.obstacles.phi, tol=1e-8)
+    assert info.value.method == "psor"
+    assert info.value.iterations == 1
+    assert math.isnan(info.value.residual)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("kind, reaction, peclet", [
+    ("laplacian", 0.0, None),
+    ("laplacian_plus_reaction", 2.0, None),
+    ("laplacian_plus_convection", 0.0, (0.5, -0.3)),
+    ("laplacian_plus_convection", 0.0, (1.0, 0.0)),
+    ("laplacian_plus_convection", 0.0, (1.0, -1.0)),
+], ids=["laplacian", "reaction", "convection", "peclet_1_on_x", "peclet_1_on_both"])
+def test_psor_with_the_operator_relaxation_reaches_pdas(monkeypatch, n, kind,
+                                                        reaction, peclet):
+    """PSOR relaxed by AssembledOperator.relaxation solves to 1e-10 on every
+    operator kind, convection up to the cell Peclet number 1 included, and
+    lands on the PDAS state. Each draw cuts its obstacles from its own
+    operator's free solution, so both contact sets are large."""
+    velocity = None if peclet is None else tuple(2.0 * p * (n + 1) for p in peclet)
+    spec = OperatorSpec(kind, reaction=reaction, convection=velocity)
+    monkeypatch.setattr(problems, "random_operator", lambda *args: spec)
+    problem, u = random_instance(unit_grid(n, dim=2), np.random.default_rng([n, 5]))
+    psor = solve_bop(problem, u, method="psor", tol=1e-10)
+    pdas = solve_bop(problem, u, method="pdas")
+    assert psor.residual_norm <= 1e-10
+    assert np.abs(psor.y.values - pdas.y.values).max() <= 1e-8
 
 
 def test_unknown_method_rejected():
