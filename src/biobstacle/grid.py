@@ -208,6 +208,14 @@ class AssembledOperator:
         rho = coupling / diagonal
         return 2.0 / (1.0 + math.sqrt(1.0 - rho * rho))
 
+    @cached_property
+    def _red_black(self) -> tuple[tuple[np.ndarray, sp.csr_matrix, np.ndarray], ...]:
+        """(nodes, their rows of the matrix, their diagonal) per colour of
+        Grid.checkerboard, kept for the projected sweeps of obstacle._sweep."""
+        diagonal = self.matrix.diagonal()
+        return tuple((nodes, self.matrix[nodes], diagonal[nodes])
+                     for nodes in self.grid.checkerboard())
+
 
 def assemble(grid: Grid, spec: OperatorSpec) -> AssembledOperator:
     """The matrix of spec on grid, straight from the 5-point stencil: per

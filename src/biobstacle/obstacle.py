@@ -41,12 +41,24 @@ log = logging.getLogger("biobstacle.obstacle")
 
 # method -> (tolerance on the natural residual, iteration cap)
 SOLVER_DEFAULTS = {"psor": (1e-8, 200_000), "pdas": (1e-10, 200)}
+# PSOR gives up once this many sweeps pass without a new smallest residual.
+# Under Young's relaxation the residual is not monotone: the longest run
+# without a new minimum in a converging solve was 58 sweeps (128^2, of 176)
+# over the verify-all, experiment and cold-solve runs, 9 for the cone VI at
+# CONE_TOL, and 105 on a 256^2 PSOR solve; runs roughly double with the grid
+PSOR_STALL = 1_000
 # PDAS seeds from the half-size grid once that grid has this many nodes per
 # axis. The coarse operator is cached on the fine one
 # (AssembledOperator.coarse_level) and the transfers on the grid
 # (Grid.coarse_level), so a seed costs one coarse solve; on the 32^2 grids
-# of verify-all it cuts the fine level from about 6 set iterations to about 2
+# of verify-all it cuts the fine level from about 6.5 set iterations to about
+# 2 straight off the prolonged state, and to about 1 after SEED_SWEEPS
 COARSE_MIN = 16
+# projected Gauss-Seidel sweeps on the prolonged coarse state before its sets
+# are read. Factorizations of one cold_solve benchmark run (seed 7) by sweep
+# count: 0: 68, 1: 66, 2: 59, 3: 57, 4: 57, 6: 54, 8: 54, 12: 54; six is
+# where they stop falling
+SEED_SWEEPS = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +108,13 @@ class BopProblem:
 
 @dataclass(frozen=True, eq=False)
 class BopSolution:
-    """State y, multiplier xi = A y - f(u), and solver diagnostics."""
+    """State y, multiplier xi = A y - f(u), and solver diagnostics.
+
+    iterations counts, for PDAS, the set iterations on the finest grid,
+    summed over the starts tried (a cycling start counts its steps too); the
+    coarse levels that seed it are not counted. For PSOR it counts sweeps.
+    residual_norm is the natural residual at return.
+    """
 
     problem: BopProblem
     u: GridFunction
@@ -238,10 +256,16 @@ def _coarse_sets(
     The coarse problem restricts the load and the bounds, not the control,
     so it serves every control kind; b carries the fine mass weight, so the
     coarse state comes out in fine-state units. Restriction is a convex
-    combination, so the coarse bounds stay apart. There is no seed when the
-    coarse grid would have fewer than COARSE_MIN nodes on an axis, when a
-    bound is infinite (a unilateral obstacle), or when the operator has no
-    coarse level (convection past the mesh-Peclet bound).
+    combination, so the coarse bounds stay apart. The prolonged state is
+    smooth but wrong node by node at the contact boundary, so it is clipped
+    to [lo, hi] and smoothed by SEED_SWEEPS projected Gauss-Seidel sweeps
+    (_sweep with omega = 1, Brandt & Cryer's smoother for complementarity
+    problems) before the sets are read off it.
+
+    There is no seed when the coarse grid would have fewer than COARSE_MIN
+    nodes on an axis, when a bound is infinite (a unilateral obstacle), or
+    when the operator has no coarse level (convection past the mesh-Peclet
+    bound).
     """
     grid = operator.grid
     if (min(grid.shape) // 2 < COARSE_MIN
@@ -251,7 +275,10 @@ def _coarse_sets(
     coarse_operator, restrict, prolong = operator.coarse_level
     x_coarse, _, _ = _pdas_solve(coarse_operator, restrict @ b, restrict @ lo,
                                  restrict @ hi, tol)
-    return _sets_of_state(operator, b, lo, hi, prolong @ x_coarse)
+    x = np.clip(prolong @ x_coarse, lo, hi)
+    for _ in range(SEED_SWEEPS):
+        _sweep(operator, b, lo, hi, x, 1.0)
+    return _sets_of_state(operator, b, lo, hi, x)
 
 
 def _sets_of_state(
@@ -312,6 +339,16 @@ def _pdas_solve(
     return x, iterations, err
 
 
+def _sweep(operator: AssembledOperator, b: np.ndarray, lo: np.ndarray,
+           hi: np.ndarray, x: np.ndarray, omega: float) -> None:
+    """One red-black projected SOR sweep on x in place: per colour, relax by
+    omega toward each row's equation, then project onto [lo, hi]. Nodes of
+    one colour never couple, so each colour updates at once."""
+    for nodes, rows, diagonal in operator._red_black:
+        r = b[nodes] - rows @ x
+        x[nodes] = np.clip(x[nodes] + omega * r / diagonal, lo[nodes], hi[nodes])
+
+
 def solve_vi_bounds(
     operator: AssembledOperator,
     b: np.ndarray,
@@ -325,30 +362,33 @@ def solve_vi_bounds(
     The PSOR backend of solve_bop(method="psor") and of the critical-cone
     problems, whose bounds mix 0 and +-inf. Relaxation operator.relaxation
     (Young's optimal value for the stencil), iteration cap
-    SOLVER_DEFAULTS["psor"], red-black sweep order vectorized per color.
-    Raises NoConvergence at the cap, or at the first sweep whose residual is
-    not finite. Returns (x, sweeps, residual).
+    SOLVER_DEFAULTS["psor"], red-black sweeps (_sweep). Raises NoConvergence
+    at the cap, at the first sweep whose residual is not finite, or once
+    PSOR_STALL sweeps have passed without a new smallest residual; the
+    stall's message names that residual and its sweep. Returns (x, sweeps,
+    residual).
     """
     x = np.clip(np.zeros(operator.grid.total), lo, hi)
     if not np.isfinite(x).all():
         raise InfeasibleObstacles("no finite starting point inside the bounds")
     matrix = operator.matrix
-    colors = operator.grid.checkerboard()
     scale = natural_scale(operator.grid)
     max_iter = SOLVER_DEFAULTS["psor"][1]
     omega = operator.relaxation
-    diag = matrix.diagonal()
-    rows = [matrix[c] for c in colors]
-    err = np.inf
+    err, best, best_sweep = np.inf, np.inf, 0
     for it in range(1, max_iter + 1):
-        for c, rows_c in zip(colors, rows):
-            r = b[c] - rows_c @ x
-            x[c] = np.clip(x[c] + omega * r / diag[c], lo[c], hi[c])
+        _sweep(operator, b, lo, hi, x, omega)
         err = _residual(matrix @ x - b, x, lo, hi, scale)
         if err <= tol:
             return x, it, err
         if not np.isfinite(err):
             raise NoConvergence("psor", it, err)
+        if err < best:
+            best, best_sweep = err, it
+        elif it - best_sweep >= PSOR_STALL:
+            raise NoConvergence(
+                f"psor (stalled: best residual {best:.3e} at sweep {best_sweep})",
+                it, err)
     raise NoConvergence("psor", max_iter, err)
 
 
@@ -364,9 +404,11 @@ def solve_bop(
     method="psor": solve_vi_bounds, projected SOR with the operator's
     relaxation (AssembledOperator.relaxation) and default tolerance 1e-8.
     method="pdas": _pdas_solve, primal-dual active set with exact reduced
-    solves and default tolerance 1e-10, started from the half-size grid's
-    solution on large grids and from empty sets otherwise. Tolerances are
-    on the natural residual max|y - median(psi, y - h_min^2 * xi, phi)|.
+    solves and default tolerance 1e-10, started on large grids from the
+    half-size grid's solution, prolonged and smoothed by a few projected
+    Gauss-Seidel sweeps (_coarse_sets), and from empty sets otherwise.
+    Tolerances are on the natural residual
+    max|y - median(psi, y - h_min^2 * xi, phi)|.
 
     near is a solution of the same problem at a nearby control. PDAS then
     starts from the active sets that near's state implies under the load
