@@ -42,6 +42,12 @@ class AssertionFailure(BiobstacleError):
     """A verification suite failed; carries the report of what failed."""
 
 
+class NotPositiveDefinite(BiobstacleError):
+    """A free block of a symmetric operator failed its Cholesky
+    factorization; the message names the first leading minor that is not
+    positive."""
+
+
 class NoConvergence(BiobstacleError):
     """Iterative solver hit its iteration cap before reaching tolerance."""
 

@@ -162,7 +162,12 @@ class OperatorSpec:
 
 @dataclass(frozen=True, eq=False)
 class AssembledOperator:
-    """Sparse operator matrix plus its exact-transpose adjoint."""
+    """Sparse operator matrix plus its exact-transpose adjoint.
+
+    Without convection the operator is symmetric and adjoint_matrix is the
+    matrix object itself, which is how obstacle._reduced_solve knows it may
+    factor a free block by Cholesky.
+    """
 
     grid: Grid
     spec: OperatorSpec
@@ -254,7 +259,10 @@ def assemble(grid: Grid, spec: OperatorSpec) -> AssembledOperator:
         stride *= n
     main += spec.reaction
     matrix = sp.diags([main, *diagonals], [0, *offsets], format="csr")
-    return AssembledOperator(grid, spec, matrix, adjoint_matrix=matrix.T.tocsr())
+    # a zero velocity makes both off-diagonals of an axis -inv_h2, so the
+    # transpose would be the same bytes
+    adjoint = matrix.T.tocsr() if any(velocity) else matrix
+    return AssembledOperator(grid, spec, matrix, adjoint_matrix=adjoint)
 
 
 def _axis_interpolation(src_n: int, dst_n: int) -> sp.csr_matrix:

@@ -20,12 +20,14 @@ import logging
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .controls import ControlOperator, apply_control
 from .errors import (
     GridMismatch,
     InfeasibleObstacles,
     NoConvergence,
+    NotPositiveDefinite,
 )
 from .grid import (
     AssembledOperator,
@@ -59,6 +61,12 @@ COARSE_MIN = 16
 # count: 0: 68, 1: 66, 2: 59, 3: 57, 4: 57, 6: 54, 8: 54, 12: 54; six is
 # where they stop falling
 SEED_SWEEPS = 6
+# a symmetric free block whose half-bandwidth in natural order is at most
+# this is solved by banded Cholesky, a wider one by SuperLU (_solve_block).
+# Per factorization and solve of a 70%-free Laplacian block (half-bandwidth
+# in brackets), Cholesky against SuperLU: 32^2 (29) 0.18 vs 0.86 ms, 64^2
+# (53) 1.5 vs 3.2 ms, 96^2 (81) 6.9 vs 7.9 ms, 128^2 (103) 15.3 vs 13.9 ms
+_BAND_LIMIT = 80
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,9 +160,10 @@ def _reduced_solve(
 
     matrix is A and transpose is A^T, both CSR; the arrays of A^T are A's
     CSC arrays, so the free block is read off them in CSC form without
-    slicing. x keeps its values off the free set. This is the one masked
-    direct solve behind PDAS steps and the reduced derivative and adjoint
-    systems.
+    slicing, and _solve_block solves it. transpose is matrix marks a
+    symmetric operator (grid.assemble stores it so without convection). x
+    keeps its values off the free set. This is the one masked direct solve
+    behind PDAS steps and the reduced derivative and adjoint systems.
     """
     if free.any():
         rhs = (b - matrix @ np.where(free, 0.0, x))[free]
@@ -162,21 +171,48 @@ def _reduced_solve(
         keep = np.repeat(free, np.diff(indptr)) & free[rows]
         kept = np.concatenate(([0], np.cumsum(keep)))
         renumber = np.cumsum(free) - 1
-        m = int(renumber[-1]) + 1
-        block = sp.csc_matrix(
-            (transpose.data[keep], renumber[rows[keep]],
-             np.append(kept[indptr[:-1][free]], kept[-1])),
-            shape=(m, m),
-        )
-        x[free] = _factor(block).solve(rhs)
+        x[free] = _solve_block(transpose.data[keep], renumber[rows[keep]],
+                               np.append(kept[indptr[:-1][free]], kept[-1]),
+                               rhs, transpose is matrix)
     return x
 
 
+def _solve_block(data: np.ndarray, rows: np.ndarray, indptr: np.ndarray,
+                 rhs: np.ndarray, symmetric: bool) -> np.ndarray:
+    """Solve the square block with CSC arrays (data, rows, indptr) against
+    rhs. A symmetric block whose half-bandwidth in natural order is at most
+    _BAND_LIMIT is filled straight into LAPACK's lower band storage and
+    solved by banded Cholesky (dpbtrf, dpbtrs): every principal block of a
+    symmetric operator here is positive definite, and one grid row bounds
+    its bandwidth. Every other block, convection or wider, goes to _factor.
+    Raises NotPositiveDefinite, naming the failing leading minor, where
+    Cholesky breaks down.
+    """
+    m = rhs.size
+    if symmetric:
+        cols = np.repeat(np.arange(m), np.diff(indptr))
+        below = rows - cols
+        width = int(below.max())
+        if width <= _BAND_LIMIT:
+            lower = below >= 0
+            band = np.zeros((m, width + 1)).T   # Fortran order, as LAPACK reads it
+            band[below[lower], cols[lower]] = data[lower]
+            factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+            if info > 0:
+                raise NotPositiveDefinite(
+                    f"free block of order {m} is not positive definite: its "
+                    f"leading minor of order {info} is not positive")
+            return lapack.dpbtrs(factor, rhs, lower=1)[0]
+    return _factor(sp.csc_matrix((data, rows, indptr), shape=(m, m))).solve(rhs)
+
+
 def _factor(block: sp.csc_matrix) -> spla.SuperLU:
-    """LU of a free block, tuned to it: every block is a principal block of
-    an M-matrix, so its pattern is symmetric and it factors without pivoting.
-    Minimum degree on A^T + A with diagonal pivots fills less than splu's
-    default, COLAMD with partial pivoting."""
+    """SuperLU factorization of a free block that banded Cholesky does not
+    take (_solve_block): a convection block, or a symmetric one wider than
+    _BAND_LIMIT. Every block is a principal block of an M-matrix, so its
+    pattern is symmetric and it factors without pivoting. Minimum degree on
+    A^T + A with diagonal pivots fills less than splu's default, COLAMD with
+    partial pivoting."""
     return spla.splu(block, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 

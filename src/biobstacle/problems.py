@@ -92,7 +92,8 @@ def random_instance(grid: Grid, rng: np.random.Generator,
     operator = assemble(grid, random_operator(grid, rng, operator_kinds))
     control = random_control(grid, rng, control_kinds)
     u = smooth_field(grid, rng, amplitude=float(rng.uniform(0.5, 2.0)))
-    free = spsolve(operator.matrix.tocsc(), apply_control(control, u).values)
+    free = spsolve(operator.matrix.tocsc(), apply_control(control, u).values,
+                   permc_spec="MMD_AT_PLUS_A")
     span = float(free.max() - free.min())
     # the scale floor keeps the obstacles apart even when the free solution
     # degenerates to a near-constant (possible on very coarse grids)

@@ -26,7 +26,7 @@ from biobstacle import (
 from biobstacle import derivatives
 from biobstacle.derivatives import reduced_linear_solve
 from biobstacle.errors import InvalidD
-from biobstacle.obstacle import _factor, _reduced_solve
+from biobstacle.obstacle import _reduced_solve, _solve_block
 from biobstacle.problems import manufactured_instance, mode_field, unit_grid
 
 
@@ -175,13 +175,15 @@ def test_reduced_solve_zero_outside_domain(strict_setup, kind, adjoint):
     assert np.abs(res).max() <= 1e-8 * max(1.0, np.abs(rhs).max())
 
 
-def _sliced_reduced_solve(matrix, b, free, x):
-    """Reference: the free block sliced out of the CSR matrix, factored
-    like the kernel's."""
+def _sliced_reduced_solve(matrix, b, free, x, symmetric):
+    """Reference: the free block sliced out of the CSR matrix, solved by the
+    kernel's own branch (banded Cholesky for a narrow symmetric block, _factor
+    otherwise)."""
     x = x.copy()
     rows = matrix[free]
     rhs = b[free] - rows[:, ~free] @ x[~free]
-    x[free] = _factor(rows[:, free].tocsc()).solve(rhs)
+    block = rows[:, free].tocsc()
+    x[free] = _solve_block(block.data, block.indices, block.indptr, rhs, symmetric)
     return x
 
 
@@ -190,12 +192,14 @@ def _sliced_reduced_solve(matrix, b, free, x):
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 def test_reduced_solve_matches_slicing_bit_for_bit(strict_setup, mask, kind, adjoint):
     """The free block read off the transpose's CSR arrays is the sliced block
-    entry for entry, so _factor returns the same bits: for the zero start of
-    the derivative systems and for a PDAS start that is nonzero off the
+    entry for entry, so _solve_block returns the same bits: for the zero start
+    of the derivative systems and for a PDAS start that is nonzero off the
     free set."""
     _, _, part = strict_setup
     operator = _operator(strict_setup, kind)
     matrix, transpose = operator.matrix, operator.adjoint_matrix
+    symmetric = kind == "manufactured"
+    assert (transpose is matrix) == symmetric
     if adjoint:
         matrix, transpose = transpose, matrix
     n = operator.grid.total
@@ -205,9 +209,9 @@ def test_reduced_solve_matches_slicing_bit_for_bit(strict_setup, mask, kind, adj
     rng = np.random.default_rng(12)
     b, x = rng.standard_normal((2, n))
     assert np.array_equal(reduced_linear_solve(operator, b, free, adjoint=adjoint),
-                          _sliced_reduced_solve(matrix, b, free, np.zeros(n)))
+                          _sliced_reduced_solve(matrix, b, free, np.zeros(n), symmetric))
     assert np.array_equal(_reduced_solve(matrix, transpose, b, free, x.copy()),
-                          _sliced_reduced_solve(matrix, b, free, x))
+                          _sliced_reduced_solve(matrix, b, free, x, symmetric))
 
 
 def test_mosco_experiment_tail_and_sandwich(biactive_setup):

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from biobstacle import (
@@ -31,10 +33,17 @@ from biobstacle.errors import (
     InfeasibleObstacles,
     InvalidSpec,
     NoConvergence,
+    NotPositiveDefinite,
 )
 from biobstacle.grid import OPERATOR_KINDS, AssembledOperator, interpolation, natural_scale
 from biobstacle.multipliers import EPS_ACTIVE, classify_sets, mirror_check, node_flags
-from biobstacle.obstacle import COARSE_MIN, _pdas_bounds, _residual
+from biobstacle.obstacle import (
+    _BAND_LIMIT,
+    COARSE_MIN,
+    _pdas_bounds,
+    _reduced_solve,
+    _residual,
+)
 from biobstacle.oracle import ENUMERATION_TOL
 from biobstacle.problems import (
     monotone_control_pair,
@@ -715,6 +724,85 @@ def test_psor_with_the_operator_relaxation_reaches_pdas(monkeypatch, n, kind,
     pdas = solve_bop(problem, u, method="pdas")
     assert psor.residual_norm <= 1e-10
     assert np.abs(psor.y.values - pdas.y.values).max() <= 1e-8
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """The number of scipy.sparse.linalg.splu calls made so far."""
+    calls, real_splu = [], scipy.sparse.linalg.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    return calls
+
+
+@pytest.mark.parametrize("operator_kind, factored", [
+    ("laplacian", False),
+    ("laplacian_plus_reaction", False),
+    ("laplacian_plus_convection", True),
+])
+def test_only_convection_pdas_solves_reach_superlu(splu_calls, operator_kind, factored):
+    """A symmetric 32^2 PDAS solve (and its 16^2 seed) factors every free
+    block by banded Cholesky; a convection solve goes to SuperLU."""
+    problem, u = random_instance(unit_grid(32), np.random.default_rng(41),
+                                 operator_kinds=(operator_kind,))
+    assert (problem.operator.adjoint_matrix is problem.operator.matrix) != factored
+    solution = solve_bop(problem, u)
+    assert solution.residual_norm <= 1e-10
+    assert bool(splu_calls) == factored
+
+
+@pytest.mark.parametrize("nx, factored", [(_BAND_LIMIT, False), (_BAND_LIMIT + 1, True)])
+def test_symmetric_blocks_wider_than_the_band_limit_reach_superlu(splu_calls, nx, factored):
+    """The whole grid free on an nx by 3 Laplacian: half-bandwidth nx."""
+    matrix = assemble(Grid((nx, 3)), OperatorSpec()).matrix
+    b = np.random.default_rng(2).standard_normal(3 * nx)
+    x = _reduced_solve(matrix, matrix, b, np.ones(3 * nx, dtype=bool), np.zeros(3 * nx))
+    assert np.abs(matrix @ x - b).max() <= 1e-13 * np.abs(b).max()
+    assert splu_calls == ([(3 * nx, 3 * nx)] if factored else [])
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("operator_kind", OPERATOR_KINDS)
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_both_kernel_branches_agree_with_a_dense_solve(splu_calls, n, operator_kind,
+                                                       adjoint):
+    """On the inactive set of a solved draw, with a start that is nonzero off
+    it, the kernel's branch and SuperLU (forced by handing the kernel a copy
+    of the transpose, so it cannot tell the operator is symmetric) both agree
+    with a dense solve of the reduced system to 1e-12 relative."""
+    rng = np.random.default_rng([n, 11])
+    problem, u = random_instance(unit_grid(n), rng, operator_kinds=(operator_kind,))
+    free = solve_bop(problem, u).sets.inactive
+    matrix, transpose = problem.operator.matrix, problem.operator.adjoint_matrix
+    if adjoint:
+        matrix, transpose = transpose, matrix
+    b, start = rng.standard_normal((2, problem.grid.total))
+    rows = matrix[free]
+    want = start.copy()
+    want[free] = np.linalg.solve(rows[:, free].toarray(),
+                                 b[free] - rows[:, ~free] @ start[~free])
+    splu_calls.clear()
+    for t in (transpose, transpose.copy()):
+        got = _reduced_solve(matrix, t, b, free, start.copy())
+        assert np.array_equal(got[~free], start[~free])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    symmetric = operator_kind != "laplacian_plus_convection"
+    assert len(splu_calls) == (1 if symmetric else 2)
+
+
+def test_an_indefinite_symmetric_block_names_its_failing_minor():
+    """Cholesky breaks down at the third leading minor: the kernel raises
+    and leaves x as it was, never a NaN state."""
+    matrix = sp.csr_matrix(sp.diags([[2.0, 2.0, -1.0, 2.0], [0.5] * 3, [0.5] * 3],
+                                    [0, -1, 1]))
+    x = np.arange(4.0)
+    with pytest.raises(NotPositiveDefinite, match="leading minor of order 3 "):
+        _reduced_solve(matrix, matrix, np.ones(4), np.ones(4, dtype=bool), x)
+    assert np.array_equal(x, np.arange(4.0))
 
 
 def test_unknown_method_rejected():
