@@ -144,7 +144,10 @@ class BopSolution:
 def _residual(xi: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
               scale: float) -> float:
     """The natural residual max |x - median(lo, x - scale*xi, hi)| of x, with
-    xi = Ax - b its multiplier; zero iff x solves the VI."""
+    xi = Ax - b its multiplier; zero iff x solves the VI. NaN when xi is not
+    finite: the projection would hide an infinite load at a pinned node."""
+    if not np.isfinite(xi).all():
+        return np.nan
     proj = np.clip(x - scale * xi, lo, hi)
     return float(np.abs(x - proj).max())
 
@@ -234,10 +237,11 @@ def _pdas_bounds(
     lo: np.ndarray,
     hi: np.ndarray,
     tol: float,
-    start: tuple[np.ndarray, np.ndarray],
+    guess: np.ndarray | None,
 ) -> tuple[np.ndarray, int, float, tuple[int, int] | None]:
-    """Primal-dual active set iteration from the (lower, upper) active sets in
-    start; returns at a fixed point, a small residual or a cycle.
+    """Primal-dual active set iteration from the sets that the state guess
+    implies under b (empty sets if guess is None); returns at a fixed
+    point, a small residual or a cycle.
 
     Set updates follow _active_sets with c = 1/scale, scale the grid's
     natural_scale, guarded so that a node leaves one bound for the free set
@@ -246,14 +250,16 @@ def _pdas_bounds(
     largest gap, and the iteration cycled. Counts set updates, so a first
     classification that is a fixed point reports 0 iterations. Returns (x,
     set iterations, residual, cycle): cycle is None, or (length, flipping
-    nodes) at the first repeated set signature. The iteration cap is the
-    one in SOLVER_DEFAULTS["pdas"].
+    nodes) at the first repeated set signature. Raises NoConvergence at the
+    first residual that is not finite, or at the iteration cap in
+    SOLVER_DEFAULTS["pdas"].
     """
     max_iter = SOLVER_DEFAULTS["pdas"][1]
     matrix = operator.matrix
     scale = natural_scale(operator.grid)
     c = 1.0 / scale
-    act_lo, act_up = start
+    act_lo, act_up = ((np.zeros(b.size, dtype=bool),) * 2 if guess is None
+                      else _active_sets(matrix @ guess - b, guess, lo, hi, c))
     seen, visited = {}, []
     err = np.inf
     for it in range(max_iter + 1):
@@ -266,6 +272,8 @@ def _pdas_bounds(
         new_lo &= ~act_up
         new_up &= ~act_lo
         err = _residual(xi, x, lo, hi, scale)
+        if not np.isfinite(err):
+            raise NoConvergence("pdas", it, err)
         if err <= tol or ((new_lo == act_lo).all() and (new_up == act_up).all()):
             return x, it, err, None
         signature = (new_lo.tobytes(), new_up.tobytes())
@@ -280,14 +288,14 @@ def _pdas_bounds(
     raise NoConvergence("pdas", max_iter, err)
 
 
-def _coarse_sets(
+def _coarse_state(
     operator: AssembledOperator,
     b: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     tol: float,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """PDAS start sets from the solution on the half-size grid, or None.
+) -> np.ndarray | None:
+    """A PDAS state guess from the solution on the half-size grid, or None.
 
     The coarse problem restricts the load and the bounds, not the control,
     so it serves every control kind; b carries the fine mass weight, so the
@@ -296,9 +304,9 @@ def _coarse_sets(
     smooth but wrong node by node at the contact boundary, so it is clipped
     to [lo, hi] and smoothed by SEED_SWEEPS projected Gauss-Seidel sweeps
     (_sweep with omega = 1, Brandt & Cryer's smoother for complementarity
-    problems) before the sets are read off it.
+    problems).
 
-    There is no seed when the coarse grid would have fewer than COARSE_MIN
+    There is no guess when the coarse grid would have fewer than COARSE_MIN
     nodes on an axis, when a bound is infinite (a unilateral obstacle), or
     when the operator has no coarse level (convection past the mesh-Peclet
     bound).
@@ -314,32 +322,21 @@ def _coarse_sets(
     x = np.clip(prolong @ x_coarse, lo, hi)
     for _ in range(SEED_SWEEPS):
         _sweep(operator, b, lo, hi, x, 1.0)
-    return _sets_of_state(operator, b, lo, hi, x)
-
-
-def _sets_of_state(
-    operator: AssembledOperator,
-    b: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    x: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """PDAS start sets that a state guess x implies under the load b."""
-    return _active_sets(operator.matrix @ x - b, x, lo, hi,
-                        1.0 / natural_scale(operator.grid))
+    return x
 
 
 def _pdas_starts(operator: AssembledOperator, b: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray, tol: float, near: np.ndarray | None,
-                 ) -> Iterator[tuple[str, tuple[np.ndarray, np.ndarray]]]:
-    """(name, start sets) of each PDAS start in the order tried. A generator,
-    so the coarse solve runs only when the near start is missing or cycled."""
+                 ) -> Iterator[tuple[str, np.ndarray | None]]:
+    """(name, state guess) of each PDAS start in the order tried, None for
+    the cold start's empty sets. A generator, so the coarse solve runs only
+    when the near start is missing or cycled."""
     if near is not None:
-        yield "near", _sets_of_state(operator, b, lo, hi, near)
-    coarse = _coarse_sets(operator, b, lo, hi, tol)
+        yield "near", near
+    coarse = _coarse_state(operator, b, lo, hi, tol)
     if coarse is not None:
         yield "coarse", coarse
-    yield "cold", (np.zeros(b.size, dtype=bool), np.zeros(b.size, dtype=bool))
+    yield "cold", None
 
 
 def _pdas_solve(
@@ -352,17 +349,17 @@ def _pdas_solve(
 ) -> tuple[np.ndarray, int, float]:
     """PDAS on the operator's grid from the first start that does not cycle.
 
-    The starts are tried in turn: the sets of the nearby state near (if
-    given), the sets of _coarse_sets (where it gives a start), then empty
-    sets. A start whose iteration cycles hands over to the next one, so the
+    Every start is a state guess, and the iteration begins on the sets it
+    implies under b (_pdas_bounds); the starts of _pdas_starts are tried in
+    turn. A start whose iteration cycles hands over to the next one, so the
     path after a failed near start is exactly the path without one. A cycle
     from the cold start raises NoConvergence naming the cycle's length and
     its flipping nodes. Returns (x, set iterations, residual).
     """
     path, iterations = [], 0
-    for name, start in _pdas_starts(operator, b, lo, hi, tol, near):
+    for name, guess in _pdas_starts(operator, b, lo, hi, tol, near):
         path.append(name)
-        x, steps, err, cycle = _pdas_bounds(operator, b, lo, hi, tol, start)
+        x, steps, err, cycle = _pdas_bounds(operator, b, lo, hi, tol, guess)
         iterations += steps
         if cycle is None:
             break
@@ -401,8 +398,9 @@ def solve_vi_bounds(
     SOLVER_DEFAULTS["psor"], red-black sweeps (_sweep). Raises NoConvergence
     at the cap, at the first sweep whose residual is not finite, or once
     PSOR_STALL sweeps have passed without a new smallest residual; the
-    stall's message names that residual and its sweep. Returns (x, sweeps,
-    residual).
+    stall's message names that residual and its sweep. Every sweep ends by
+    projecting onto [lo, hi], so the returned x lies in the bounds exactly.
+    Returns (x, sweeps, residual).
     """
     x = np.clip(np.zeros(operator.grid.total), lo, hi)
     if not np.isfinite(x).all():
@@ -440,15 +438,17 @@ def solve_bop(
     method="psor": solve_vi_bounds, projected SOR with the operator's
     relaxation (AssembledOperator.relaxation) and default tolerance 1e-8.
     method="pdas": _pdas_solve, primal-dual active set with exact reduced
-    solves and default tolerance 1e-10, started on large grids from the
-    half-size grid's solution, prolonged and smoothed by a few projected
-    Gauss-Seidel sweeps (_coarse_sets), and from empty sets otherwise.
-    Tolerances are on the natural residual
-    max|y - median(psi, y - h_min^2 * xi, phi)|.
+    solves and default tolerance 1e-10. Each start is a state guess, and
+    PDAS begins on the active sets that the guess implies under the load
+    f(u): near's state if given, else on large grids the half-size grid's
+    solution, prolonged and smoothed by a few projected Gauss-Seidel sweeps
+    (_coarse_state), else no guess and empty sets (cold). Tolerances are on
+    the natural residual max|y - median(psi, y - h_min^2 * xi, phi)|, and
+    both methods raise NoConvergence once it is not finite, as it is for a
+    load with a NaN or infinite entry.
 
-    near is a solution of the same problem at a nearby control. PDAS then
-    starts from the active sets that near's state implies under the load
-    f(u), with no coarse-level solve. The state depends only on the final
+    near is a solution of the same problem at a nearby control; a near
+    start needs no coarse-level solve. The state depends only on the final
     active sets, so a start that ends on the sets of the plain solve gives
     the same bytes in fewer factorizations. A near start whose set
     iteration cycles hands over to the plain path (coarse seed, then cold).

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import ComplementarityViolated, InvalidSpec
 from .grid import GridFunction
 from .obstacle import BopProblem, BopSolution
 
@@ -29,7 +29,9 @@ def solve_by_enumeration(problem: BopProblem, u: GridFunction) -> BopSolution:
     Patterns go in itertools.product order, code 1 pinning a node to psi and
     2 to phi. A pattern's system is A's free-free block, a principal block of
     an M-matrix and so nonsingular, bordered by identity rows and columns on
-    the pinned nodes.
+    the pinned nodes. Returns the first accepted pattern's solution; raises
+    ComplementarityViolated, naming the smallest violation, when no pattern
+    is accepted.
     """
     n = problem.grid.total
     if n > ENUMERATION_LIMIT:
@@ -40,8 +42,7 @@ def solve_by_enumeration(problem: BopProblem, u: GridFunction) -> BopSolution:
     digits = 3 ** np.arange(n - 1, -1, -1)
     batch = max(1, _BATCH_ROWS // n)
 
-    best = None
-    best_viol = np.inf
+    smallest = np.inf
     for first in range(0, 3**n, batch):
         code = np.arange(first, min(first + batch, 3**n))[:, None] // digits % 3
         free = code == 0
@@ -55,22 +56,11 @@ def solve_by_enumeration(problem: BopProblem, u: GridFunction) -> BopSolution:
         accepted = np.flatnonzero(viol <= ENUMERATION_TOL)
         if accepted.size:
             k = accepted[0]
-            return _as_solution(problem, u, y[k], matrix @ y[k] - b, viol[k])
-        k = int(np.argmin(viol))
-        if viol[k] < best_viol:
-            best, best_viol = y[k], viol[k]
-    # no pattern met the tolerance; return the least-violating one so the
-    # caller sees how far off it is instead of getting nothing
-    return _as_solution(problem, u, best, matrix @ best - b, best_viol)
-
-
-def _as_solution(problem, u, y, xi, viol) -> BopSolution:
-    return BopSolution(
-        problem=problem,
-        u=u,
-        y=problem.grid.function(y),
-        xi=problem.grid.function(xi),
-        solver="enumeration",
-        iterations=0,
-        residual_norm=float(viol),
-    )
+            return BopSolution(problem=problem, u=u, y=problem.grid.function(y[k]),
+                               xi=problem.grid.function(matrix @ y[k] - b),
+                               solver="enumeration", iterations=0,
+                               residual_norm=float(viol[k]))
+        smallest = min(smallest, float(viol.min()))
+    raise ComplementarityViolated(
+        f"none of the {3**n} patterns is accepted: the smallest violation "
+        f"{smallest:.3e} exceeds ENUMERATION_TOL = {ENUMERATION_TOL:.3e}")

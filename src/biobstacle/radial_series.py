@@ -353,10 +353,13 @@ def series_study(config: RingConfig, K_max: int, tail_from: int) -> dict:
     Returns per-ring data (decimated for reporting), the Cauchy diagnostics of
     the bounded case, the divergence diagnostics of the unbounded case, and
     the H^-1 bound checks for both shipped profiles. The growth fit samples
-    ln K from K = 100 up, so K_max must exceed 100.
+    ln K from K = 100 up, so K_max must exceed 100, and the tail starts at
+    a ring 1 <= tail_from <= K_max.
     """
     if K_max <= 100:
         raise InvalidSpec(f"series study needs K_max > 100, got {K_max}")
+    if not 1 <= tail_from <= K_max:
+        raise InvalidSpec(f"tail_from must lie in [1, K_max = {K_max}], got {tail_from}")
     ramp = profile_ramp(config)
     log_power = profile_log_power(config)
     sums_ramp = pair_with_radial(config, ramp, K_max)

@@ -138,6 +138,9 @@ def test_one_sided_quotients_match_their_side(biactive_setup):
     # directional derivative along h computed by the cone VI agrees with a
     # small one-sided quotient regardless of side bookkeeping
     cone = directional_derivative(sol, h).eta.values
+    # every PSOR sweep projects onto the cone, so eta lies in it exactly
+    assert (cone[~domain_for_side(part, "lower")] >= 0).all()
+    assert (cone[~domain_for_side(part, "upper")] <= 0).all()
     y_t = solve_bop(problem, u.with_values(u.values + t * h.values)).y.values
     quotient = (y_t - sol.y.values) / t
     assert np.abs(quotient - cone).max() <= 1e-3 * np.abs(cone).max()
@@ -255,6 +258,10 @@ def test_mosco_perturbation_must_be_positive(biactive_setup):
     with pytest.raises(InvalidD):
         mosco_convergence_experiment(sol, h, side="sideways", schedule=(2,),
                                      e=sol.problem.grid.constant(1.0))
+    for schedule in ((), (2, 0)):
+        with pytest.raises(InvalidD, match="schedule must name at least one n"):
+            mosco_convergence_experiment(sol, h, side="lower", schedule=schedule,
+                                         e=sol.problem.grid.constant(1.0))
 
 
 def test_sandwich_report_structure(biactive_setup):

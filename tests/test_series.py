@@ -111,6 +111,10 @@ def test_ring_index_starts_at_one():
         log_radius_gap(0, 1.0 / 3.0)
     with pytest.raises(InvalidSpec):
         pair_with_radial(CFG, profile_ramp(CFG), 0)
+    # the tail of series_study starts at a ring 1 <= tail_from <= K_max
+    for tail_from in (0, 201):
+        with pytest.raises(InvalidSpec, match="tail_from must lie in"):
+            series_study(CFG, K_max=200, tail_from=tail_from)
 
 
 def test_state_profile_gradient_frozen():

@@ -28,8 +28,9 @@ from biobstacle import (
     solve_by_enumeration,
     solve_vi_bounds,
 )
-from biobstacle import obstacle, problems
+from biobstacle import obstacle, oracle, problems
 from biobstacle.errors import (
+    ComplementarityViolated,
     InfeasibleObstacles,
     InvalidSpec,
     NoConvergence,
@@ -273,6 +274,38 @@ def test_enumeration_size_guard():
         solve_by_enumeration(problem, problem.grid.constant(1.0))
 
 
+def test_enumeration_raises_when_no_pattern_is_accepted(monkeypatch):
+    """With a tolerance below every violation (each is at least 0) no
+    pattern is accepted, and the oracle raises with the pattern count and
+    the smallest violation, that of the solution's own pattern, instead of
+    returning a non-solution."""
+    problem = _box_problem(n=4)
+    u = problem.grid.constant(1.0)
+    smallest = solve_by_enumeration(problem, u).residual_norm
+    monkeypatch.setattr(oracle, "ENUMERATION_TOL", -1.0)
+    with pytest.raises(ComplementarityViolated) as info:
+        solve_by_enumeration(problem, u)
+    assert str(info.value) == (
+        f"none of the 81 patterns is accepted: the smallest violation "
+        f"{smallest:.3e} exceeds ENUMERATION_TOL = -1.000e+00")
+
+
+@pytest.mark.parametrize("method", ["pdas", "psor"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [8, 32])
+def test_non_finite_control_raises(method, bad, n):
+    """A NaN or infinite control entry makes the load non-finite. Neither
+    solver returns a solution for it: PDAS stops at its first non-finite
+    residual as PSOR does, and an infinite multiplier at a pinned node
+    counts as non-finite, though the projection in the residual hides it.
+    At 32^2 PDAS meets it on the coarse level."""
+    problem, u = random_instance(unit_grid(n), np.random.default_rng(0))
+    values = u.values.copy()
+    values[5] = bad
+    with pytest.raises(NoConvergence, match=f"^{method} did not converge: residual nan"):
+        solve_bop(problem, u.with_values(values), method=method)
+
+
 def test_psor_pdas_agree_on_2d_instances():
     rng = np.random.default_rng(7)
     grid = unit_grid(12, dim=2)
@@ -337,8 +370,7 @@ def test_seeded_cycle_restarts_cold(caplog, monkeypatch):
     that names the cycle's length and its flipping nodes."""
     problem, u = _cycling_instance()
     n = problem.grid.total
-    monkeypatch.setattr(obstacle, "_coarse_sets",
-                        lambda *args: (np.zeros(n, bool), np.zeros(n, bool)))
+    monkeypatch.setattr(obstacle, "_coarse_state", lambda *args: np.zeros(n))
     flipping = _alternating_rule(monkeypatch, n)
     with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"), \
             pytest.raises(NoConvergence) as info:
@@ -368,9 +400,8 @@ def test_seeded_pdas_matches_cold(caplog, n, operator_kind, control_kind):
     levels = _pdas_levels(caplog)
     assert levels[-1]["grid"] == f"{n}x{n}" and levels[-1]["seed"] == "coarse"
     psi, phi = problem.obstacles.psi, problem.obstacles.phi
-    empty = np.zeros(grid.total, dtype=bool)
     cold, cold_iterations, _, cycled = _pdas_bounds(
-        problem.operator, problem.load(u), psi, phi, 1e-10, (empty, empty))
+        problem.operator, problem.load(u), psi, phi, 1e-10, None)
     assert not cycled
     assert np.abs(sol.y.values - cold).max() <= 1e-8
     assert solution_residual(sol) <= 1e-10
@@ -437,9 +468,8 @@ def test_seed_reaches_the_cold_state_on_hard_draws(caplog, monkeypatch, build):
         sol = solve_bop(problem, u, method="pdas")
     assert [level["seed"] for level in _pdas_levels(caplog)] == ["cold", "coarse"]
     psi, phi = problem.obstacles.psi, problem.obstacles.phi
-    empty = np.zeros(problem.grid.total, dtype=bool)
     cold, _, _, cycled = _pdas_bounds(problem.operator, problem.load(u), psi, phi,
-                                      1e-10, (empty, empty))
+                                      1e-10, None)
     assert not cycled
     assert solution_residual(sol) <= 1e-10
     assert np.abs(sol.y.values - cold).max() <= 1e-12 * np.abs(cold).max()
