@@ -36,7 +36,7 @@ print("overlapping support nodes:",
 # pairing identity: testing xi against (1 - v) w isolates the lower part,
 # testing against v w isolates (minus) the upper part
 rng = np.random.default_rng(7)
-worst = max(pairing_identity_gap(sol, split, rng.standard_normal(problem.grid.total))
+worst = max(pairing_identity_gap(sol, rng.standard_normal(problem.grid.total))
             for _ in range(10))
 print("worst pairing identity gap over 10 random w:", worst)
 

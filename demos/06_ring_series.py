@@ -29,7 +29,7 @@ print("first ring pair at t =",
       float((3 * math.pi / 2) ** 3), "and", float((5 * math.pi / 2) ** 3))
 
 # the log-radius gaps between paired rings obey two-sided mean-value bounds
-gaps = check_gap_bounds(config.beta, k_max=100_000)
+gaps = check_gap_bounds(config, k_max=100_000)
 print("\ngap bounds hold for every ring up to 100000:", gaps["ok"])
 
 study = series_study(config, K_max=50_000, tail_from=5_000)

@@ -138,14 +138,12 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
     return tuple(steps)
 
 
-def run_solve(args) -> dict:
+def run_solve(s: dict, out: Path) -> dict:
     """Solve one random instance, dump state and sets."""
-    s = _settings(args)
     rng = np.random.default_rng([s["seed"], 101])
     problem, u = problems.random_instance(
         problems.unit_grid(s["grid"], dim=s["dim"]), rng)
     solution = solve_bop(problem, u, method=s["method"])
-    out = Path(args.out)
     write_solution_csv(out / "solve_solution.csv", solution)
     report = {
         "experiment": "solve",
@@ -160,9 +158,8 @@ def run_solve(args) -> dict:
     return report
 
 
-def run_derivative(args) -> dict:
+def run_derivative(s: dict, out: Path) -> dict:
     """Derivative routes on the strict-contact instance."""
-    s = _settings(args)
     inst = problems.derivative_instance(problems.unit_grid(s["grid"], dim=2),
                                         s["amplitude"])
     problem, u, h = inst["problem"], inst["u"], inst["h"]
@@ -171,7 +168,6 @@ def run_derivative(args) -> dict:
     reduced = generalized_derivative(solution, h, s["side"])
     inactive = gateaux_derivative_on_D(solution, h)
     agreement = float(np.abs(cone.eta.values - inactive.eta.values).max())
-    out = Path(args.out)
     write_derivative_csv(out / "derivative_eta.csv", reduced)
     report = {
         "experiment": "derivative",
@@ -185,15 +181,13 @@ def run_derivative(args) -> dict:
     return report
 
 
-def run_mosco(args) -> dict:
+def run_mosco(s: dict, out: Path) -> dict:
     """One-sided derivative convergence experiment."""
-    s = _settings(args)
     schedule = _parse_schedule(s["schedule"])
     inst = problems.mosco_instance(problems.unit_grid(s["grid"], dim=2))
     solution = solve_bop(inst["problem"], inst["u"])
     result = mosco_convergence_experiment(solution, inst["h"], side=s["side"],
                                           schedule=schedule, e=inst["e"])
-    out = Path(args.out)
     write_mosco_csv(out / "mosco_errors.csv", result["steps"])
     report = {
         "experiment": "mosco",
@@ -208,15 +202,13 @@ def run_mosco(args) -> dict:
     return report
 
 
-def run_control(args) -> dict:
+def run_control(s: dict, out: Path) -> dict:
     """Subgradient descent on the tracking objective."""
-    s = _settings(args)
     rng = np.random.default_rng([s["seed"], 108])
     inst = problems.control_instance(problems.unit_grid(s["grid"], dim=2), rng)
     u0 = problems.perturbed_control(inst, rng)
     trace = descent_loop(inst["control_problem"], u0, steps=s["steps"],
                          side=s["side"])
-    out = Path(args.out)
     write_descent_csv(out / "control_trace.csv", trace.rows)
     report = {
         "experiment": "control",
@@ -232,12 +224,10 @@ def run_control(args) -> dict:
     return report
 
 
-def run_counterexample(args) -> dict:
+def run_counterexample(s: dict, out: Path) -> dict:
     """Ring-series partial sums and bounds."""
-    s = _settings(args)
     ring_config = RingConfig(beta=s["beta"], omega_exponent=s["omega_exponent"])
     study = series_study(ring_config, K_max=s["K"], tail_from=min(10_000, s["K"]))
-    out = Path(args.out)
     write_series_csv(out / "counterexample_series.csv", study["rows"])
     report = {
         "experiment": "counterexample",
@@ -250,10 +240,10 @@ def run_counterexample(args) -> dict:
     return report
 
 
-def run_verify_all(args) -> dict:
+def run_verify_all(s: dict, out: Path) -> dict:
     """Run every verification suite and write the report."""
-    report = run_acceptance(_settings(args)["seed"])
-    write_json(Path(args.out) / "verify_report.json", report)
+    report = run_acceptance(s["seed"])
+    write_json(out / "verify_report.json", report)
     return report
 
 
@@ -289,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     runner = RUNNERS[args.experiment]
     try:
-        broken = failures(runner(args))
+        broken = failures(runner(_settings(args), Path(args.out)))
         if broken:
             raise AssertionFailure("; ".join(broken))
     except AssertionFailure as exc:

@@ -40,46 +40,35 @@ def _contact(solution: BopSolution) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) contact masks: a node within EPS_ACTIVE of an obstacle
     touches it, but only the strictly nearer obstacle, so no node touches
     both and the rule commutes with reflection even where the obstacles
-    are closer than 2*EPS_ACTIVE."""
-    obstacles = solution.problem.obstacles
-    gap_lower = solution.y.values - obstacles.psi
-    gap_upper = obstacles.phi - solution.y.values
+    are closer than 2*EPS_ACTIVE. Refuses (ComplementarityViolated)
+    multiplier mass at nodes in contact with neither obstacle, where neither
+    a split nor a partition means anything."""
+    pair, y, xi = solution.problem.obstacles, solution.y.values, solution.xi.values
+    gap_lower, gap_upper = y - pair.psi, pair.phi - y
     lower = (gap_lower <= EPS_ACTIVE) & (gap_lower < gap_upper)
     upper = (gap_upper <= EPS_ACTIVE) & (gap_upper < gap_lower)
-    return lower, upper
-
-
-def split_multiplier(solution: BopSolution) -> MultiplierSplit:
-    """Decompose xi into its obstacle-attached parts.
-
-    Refuses (ComplementarityViolated) if the multiplier carries mass at nodes
-    in contact with neither obstacle, since the decomposition is meaningless
-    for such data.
-    """
-    y = solution.y.values
-    xi = solution.xi.values
-    psi = solution.problem.obstacles.psi
-    phi = solution.problem.obstacles.phi
-    lower, upper = _contact(solution)
     bad = ~(lower | upper) & (np.abs(xi) > EPS_MULT)
     if bad.any():
         worst = float(np.abs(xi[bad]).max())
         raise ComplementarityViolated(
             f"{int(bad.sum())} interior nodes carry multiplier mass up to {worst:.3e}"
         )
+    return lower, upper
+
+
+def split_multiplier(solution: BopSolution) -> MultiplierSplit:
+    """Decompose xi into its obstacle-attached parts; refuses mass off contact."""
+    _contact(solution)
+    pair, xi = solution.problem.obstacles, solution.xi.values
     with np.errstate(invalid="ignore"):
-        v = np.clip((y - psi) / (phi - psi), 0.0, 1.0)
-    return MultiplierSplit(
-        lower=np.clip(xi, 0.0, None),
-        upper=np.clip(-xi, 0.0, None),
-        v=v,
-    )
+        v = np.clip((solution.y.values - pair.psi) / (pair.phi - pair.psi), 0.0, 1.0)
+    return MultiplierSplit(lower=np.clip(xi, 0.0, None), upper=np.clip(-xi, 0.0, None), v=v)
 
 
-def pairing_identity_gap(
-    solution: BopSolution, split: MultiplierSplit, w: np.ndarray
-) -> float:
-    """max of |xi.((1-v)w) - lower.w| and |xi.(v w) + upper.w| for one test vector."""
+def pairing_identity_gap(solution: BopSolution, w: np.ndarray) -> float:
+    """max of |xi.((1-v)w) - lower.w| and |xi.(v w) + upper.w| for one test
+    vector, with the split read off the solution."""
+    split = split_multiplier(solution)
     xi = solution.xi.values
     lower_gap = abs(float(xi @ ((1.0 - split.v) * w)) - float(split.lower @ w))
     upper_gap = abs(float(xi @ (split.v * w)) + float(split.upper @ w))
@@ -131,13 +120,13 @@ class SetPartition:
 
 def classify_sets(solution: BopSolution) -> SetPartition:
     """Active sets by state proximity, strict subsets by multiplier mass."""
-    split = split_multiplier(solution)
     lower, upper = _contact(solution)
+    xi = solution.xi.values
     return SetPartition(
         lower=lower,
         upper=upper,
-        lower_strict=lower & (split.lower >= EPS_MULT),
-        upper_strict=upper & (split.upper >= EPS_MULT),
+        lower_strict=lower & (xi >= EPS_MULT),
+        upper_strict=upper & (-xi >= EPS_MULT),
     )
 
 

@@ -73,14 +73,13 @@ def ring_log_radii(config: RingConfig, k) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def log_radius_gap(k, beta: float):
+def log_radius_gap(config: RingConfig, k):
     """gap_k = (2k*pi + pi/2)^(1/beta) - (2k*pi - pi/2)^(1/beta).
 
     Evaluated as a^p * (expm1(p*log1p(s/a)) - expm1(p*log1p(-s/a))) with
     a = 2k*pi, s = pi/2, which avoids the cancellation of the direct
     difference at large k.
     """
-    config = RingConfig(beta=beta)
     k = np.asarray(k, dtype=float)
     if (k < 1).any():
         raise InvalidSpec("ring index starts at 1")
@@ -90,10 +89,9 @@ def log_radius_gap(k, beta: float):
     return a**p * (np.expm1(p * np.log1p(s / a)) - np.expm1(p * np.log1p(-s / a)))
 
 
-def gap_bounds(k, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def gap_bounds(config: RingConfig, k) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided mean-value bounds:
     (pi/beta)*(2k*pi - pi/2)^(1/beta - 1) <= gap_k <= same at (+ pi/2)."""
-    config = RingConfig(beta=beta)
     k = np.asarray(k, dtype=float)
     q = config.p - 1.0
     factor = math.pi * config.p
@@ -103,15 +101,17 @@ def gap_bounds(k, beta: float) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def check_gap_bounds(beta: float, k_max: int) -> dict:
+def check_gap_bounds(config: RingConfig, k_max: int) -> dict:
     """Sweep every ring index up to k_max; report worst slack of both bounds."""
+    if k_max < 1:
+        raise InvalidSpec("need at least one ring")
     k = np.arange(1, int(k_max) + 1, dtype=float)
-    gap = log_radius_gap(k, beta)
-    lo, hi = gap_bounds(k, beta)
-    t_lo, t_up = ring_log_radii(RingConfig(beta=beta), k)
+    gap = log_radius_gap(config, k)
+    lo, hi = gap_bounds(config, k)
+    t_lo, t_up = ring_log_radii(config, k)
     interlace = np.all(t_up[:-1] < t_lo[1:])
     return {
-        "beta": beta,
+        "beta": config.beta,
         "k_max": int(k_max),
         "min_slack_lower": float((gap - lo).min()),
         "min_slack_upper": float((hi - gap).min()),
@@ -130,8 +130,8 @@ class RadialProfile:
 
     name: str
     t_start: float
-    _fn: Callable[[np.ndarray], np.ndarray]
-    _grad_sq: float
+    fn: Callable[[np.ndarray], np.ndarray]
+    grad_sq: float
 
     def values(self, t):
         t = np.asarray(t, dtype=float)
@@ -139,13 +139,10 @@ class RadialProfile:
             raise EvaluationDomain(
                 f"{self.name} sampled at t < {self.t_start:.6g} (outside the disk)"
             )
-        return self._fn(t)
-
-    def grad_sq_integral(self) -> float:
-        return self._grad_sq
+        return self.fn(t)
 
     def h1_seminorm(self) -> float:
-        return math.sqrt(TWO_PI * self.grad_sq_integral())
+        return math.sqrt(TWO_PI * self.grad_sq)
 
 
 def profile_state(config: RingConfig) -> RadialProfile:
@@ -166,8 +163,8 @@ def profile_state(config: RingConfig) -> RadialProfile:
     return RadialProfile(
         name="state",
         t_start=tb,
-        _fn=lambda t: np.sin(t**beta),
-        _grad_sq=grad_sq,
+        fn=lambda t: np.sin(t**beta),
+        grad_sq=grad_sq,
     )
 
 
@@ -179,8 +176,8 @@ def profile_log_power(config: RingConfig) -> RadialProfile:
     return RadialProfile(
         name="log_power",
         t_start=tb,
-        _fn=lambda t: t**beta - math.pi,
-        _grad_sq=beta**2 * tb ** (2.0 * beta - 1.0) / (1.0 - 2.0 * beta),
+        fn=lambda t: t**beta - math.pi,
+        grad_sq=beta**2 * tb ** (2.0 * beta - 1.0) / (1.0 - 2.0 * beta),
     )
 
 
@@ -194,8 +191,8 @@ def profile_ramp(config: RingConfig) -> RadialProfile:
     return RadialProfile(
         name="ramp",
         t_start=tb,
-        _fn=lambda t: np.clip((t - tb) / width, 0.0, 1.0),
-        _grad_sq=1.0 / width,
+        fn=lambda t: np.clip((t - tb) / width, 0.0, 1.0),
+        grad_sq=1.0 / width,
     )
 
 
@@ -215,14 +212,19 @@ class RingSums:
     upper_part: np.ndarray
 
 
-def pair_with_radial(config: RingConfig, profile: RadialProfile, K: int) -> RingSums:
-    """Evaluate the pairing partial sums up to ring K."""
+def _rings(config: RingConfig, K: int):
+    """(k, t_lo, t_up, coeff) for rings 1..K: the index, the log-radii of the
+    lower and upper rings, and the ring weight omega_k * 2*pi / sqrt(gap_k)."""
     if K < 1:
         raise InvalidSpec("need at least one ring")
     k = np.arange(1, int(K) + 1, dtype=float)
     t_lo, t_up = ring_log_radii(config, k)
-    gap = log_radius_gap(k, config.beta)
-    coeff = config.omega(k) / np.sqrt(gap) * TWO_PI
+    return k, t_lo, t_up, config.omega(k) / np.sqrt(log_radius_gap(config, k)) * TWO_PI
+
+
+def pair_with_radial(config: RingConfig, profile: RadialProfile, K: int) -> RingSums:
+    """Evaluate the pairing partial sums up to ring K."""
+    k, t_lo, t_up, coeff = _rings(config, K)
     w_lo = coeff * profile.values(t_lo)
     w_up = coeff * profile.values(t_up)
     return RingSums(
@@ -244,7 +246,7 @@ def measure_mass_bound(config: RingConfig) -> float:
     """
     exact_terms = 200_000
     k = np.arange(1, exact_terms + 1, dtype=float)
-    partial = float((1.0 / log_radius_gap(k, config.beta)).sum())
+    partial = float((1.0 / log_radius_gap(config, k)).sum())
     p = config.p
     edge = 2.0 * exact_terms * math.pi - math.pi / 2.0
     tail = (config.beta / math.pi) * edge ** (2.0 - p) / (TWO_PI * (p - 2.0))
@@ -264,6 +266,8 @@ def bounded_tail_remainder(config: RingConfig, K: int) -> float:
     bounded w. Uses 1/sqrt(gap) <= sqrt(beta/pi)*(2k*pi - pi/2)^((1-1/beta)/2)
     inside an integral comparison.
     """
+    if K < 1:
+        raise InvalidSpec("need at least one ring")
     q = (1.0 - config.p) / 2.0  # decay exponent of 1/sqrt(gap)
     pref = TWO_PI * math.sqrt(config.beta / math.pi)
 
@@ -293,10 +297,7 @@ def verify_vi_solution_property(
     uniformly between the obstacles at each ring (the state itself and its
     clamp to [-1/2, 1/2] are always included as deterministic cases).
     """
-    k = np.arange(1, int(K) + 1, dtype=float)
-    t_lo, t_up = ring_log_radii(config, k)
-    gap = log_radius_gap(k, config.beta)
-    coeff = config.omega(k) / np.sqrt(gap) * TWO_PI
+    _, t_lo, t_up, coeff = _rings(config, K)
     y_lo, y_up = -1.0, 1.0  # state values on the two ring families
     psi_lo, phi_lo = obstacle_values_at(config, t_lo)
     psi_up, phi_up = obstacle_values_at(config, t_up)
@@ -343,7 +344,7 @@ def lower_bound_terms(config: RingConfig, k: np.ndarray) -> np.ndarray:
     """Per-ring lower bound on the unbounded-w upper-part terms, obtained by
     replacing gap_k with its mean-value upper bound."""
     w_up = 2.0 * k * math.pi - math.pi / 2.0  # log_power at upper rings
-    _, gap_hi = gap_bounds(k, config.beta)
+    _, gap_hi = gap_bounds(config, k)
     return config.omega(k) * TWO_PI * w_up / np.sqrt(gap_hi)
 
 

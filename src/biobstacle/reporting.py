@@ -51,24 +51,14 @@ def write_json(path, payload: dict) -> Path:
     return path
 
 
-def _cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 def write_csv(path, header: list[str], rows) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        # csv writes a float by repr, its shortest round-trip form
+        writer.writerows(sanitize(row) for row in rows)
     return path
 
 

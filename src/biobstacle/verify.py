@@ -283,7 +283,7 @@ def criterion_5(seed: int) -> dict:
         )
         for _ in range(20):
             w = rng.standard_normal(grid.total)
-            worst_pairing = max(worst_pairing, pairing_identity_gap(sol, split, w))
+            worst_pairing = max(worst_pairing, pairing_identity_gap(sol, w))
         gap_lower = sol.y.values - problem.obstacles.psi
         gap_upper = problem.obstacles.phi - sol.y.values
         support_violations += int(((split.lower > EPS_MULT) & (gap_lower > EPS_ACTIVE)).sum())
@@ -423,7 +423,7 @@ def criterion_9(seed: int) -> dict:
     of the unbounded case, dual-norm bound at every truncation."""
     config = RingConfig(beta=1.0 / 3.0, omega_exponent=1.0)
     study = series_study(config, K_max=100_000, tail_from=10_000)
-    gaps = check_gap_bounds(config.beta, k_max=1_000_000)
+    gaps = check_gap_bounds(config, k_max=1_000_000)
     vi = verify_vi_solution_property(config, K=2_000, samples=100, seed=seed)
     bounded = study["bounded"]
     fit = study["unbounded"]

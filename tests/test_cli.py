@@ -164,6 +164,22 @@ def test_committed_configs_resolve(experiment):
     assert {key: settings[key] for key in values} == values
 
 
+@pytest.mark.parametrize(
+    "experiment", ["solve", "derivative", "mosco", "control", "counterexample"])
+def test_committed_configs_run_and_repeat_byte_for_byte(tmp_path, experiment):
+    """Each committed config runs at its own sizes, writes its report and its
+    CSV, and a second run writes the same bytes."""
+    config = ROOT / "configs" / f"{experiment}.json"
+    runs = []
+    for run in ("first", "second"):
+        code, out = _run(tmp_path / run, experiment, "--config", str(config))
+        assert code == 0
+        runs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert f"{experiment}_report.json" in runs[0]
+    assert any(name.endswith(".csv") for name in runs[0])
+    assert runs[0] == runs[1]
+
+
 def test_bad_config_files_exit_with_code_two(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     code, _ = _run(tmp_path, "solve", "--config", str(missing))
@@ -189,7 +205,7 @@ def test_config_error_from_config_file_value(tmp_path):
 
 
 def test_assertion_failures_exit_with_code_one(tmp_path, monkeypatch, capsys):
-    def failing(args):
+    def failing(s, out):
         raise AssertionFailure("forced failure for the exit-code contract")
 
     monkeypatch.setitem(cli.RUNNERS, "solve", failing)
@@ -236,7 +252,7 @@ def test_verify_all_lists_the_broken_rows_of_each_failed_criterion(
 
 
 def test_runtime_errors_exit_with_code_one(tmp_path, monkeypatch, capsys):
-    def stuck(args):
+    def stuck(s, out):
         raise NoConvergence("psor", 17, 0.5)
 
     monkeypatch.setitem(cli.RUNNERS, "solve", stuck)

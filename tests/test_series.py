@@ -46,8 +46,8 @@ def _profile_piecewise_linear(knots_t: np.ndarray, knots_w: np.ndarray,
     return RadialProfile(
         name=name,
         t_start=float(t[0]),
-        _fn=lambda x: np.interp(x, t, w),
-        _grad_sq=grad_sq,
+        fn=lambda x: np.interp(x, t, w),
+        grad_sq=grad_sq,
     )
 
 CFG = RingConfig()  # beta = 1/3, omega_k = 1/k
@@ -65,7 +65,7 @@ def test_ring_geometry_closed_forms():
     assert t_lo == pytest.approx((3.0 * math.pi / 2.0) ** 3, rel=1e-14)
     assert t_up == pytest.approx((5.0 * math.pi / 2.0) ** 3, rel=1e-14)
     # gap_1 = ((5/2)^3 - (3/2)^3) pi^3 = (98/8) pi^3
-    assert log_radius_gap(1, CFG.beta) == pytest.approx(
+    assert log_radius_gap(CFG, 1) == pytest.approx(
         12.25 * math.pi**3, rel=1e-13
     )
 
@@ -77,18 +77,18 @@ def test_gap_matches_naive_difference_at_small_k():
     naive = (2.0 * k * math.pi + math.pi / 2.0) ** 3 - (
         2.0 * k * math.pi - math.pi / 2.0
     ) ** 3
-    np.testing.assert_allclose(log_radius_gap(k, 1.0 / 3.0), naive, rtol=1e-9)
+    np.testing.assert_allclose(log_radius_gap(CFG, k), naive, rtol=1e-9)
 
 
 def test_gap_bounds_at_first_ring():
-    lo, hi = gap_bounds(1, 1.0 / 3.0)
+    lo, hi = gap_bounds(CFG, 1)
     assert lo == pytest.approx(27.0 * math.pi**3 / 4.0, rel=1e-14)
     assert hi == pytest.approx(75.0 * math.pi**3 / 4.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("beta", [0.25, 1.0 / 3.0, 0.49])
 def test_gap_bounds_bracket_every_ring(beta):
-    report = check_gap_bounds(beta, k_max=200_000)
+    report = check_gap_bounds(RingConfig(beta=beta), k_max=200_000)
     assert report["ok"]
     assert report["interlaced"]
     assert report["min_slack_lower"] > 0.0
@@ -108,9 +108,16 @@ def test_config_validation():
 
 def test_ring_index_starts_at_one():
     with pytest.raises(InvalidSpec):
-        log_radius_gap(0, 1.0 / 3.0)
+        log_radius_gap(CFG, 0)
     with pytest.raises(InvalidSpec):
         pair_with_radial(CFG, profile_ramp(CFG), 0)
+    # no ring function passes, or fails deep in numpy or quad, on zero rings
+    with pytest.raises(InvalidSpec):
+        verify_vi_solution_property(CFG, K=0, samples=5, seed=1)
+    with pytest.raises(InvalidSpec):
+        check_gap_bounds(CFG, k_max=0)
+    with pytest.raises(InvalidSpec):
+        bounded_tail_remainder(CFG, 0)
     # the tail of series_study starts at a ring 1 <= tail_from <= K_max
     for tail_from in (0, 201):
         with pytest.raises(InvalidSpec, match="tail_from must lie in"):
@@ -119,12 +126,12 @@ def test_ring_index_starts_at_one():
 
 def test_state_profile_gradient_frozen():
     state = profile_state(CFG)
-    assert state.grad_sq_integral() == pytest.approx(STATE_GRAD_SQ, rel=1e-10)
+    assert state.grad_sq == pytest.approx(STATE_GRAD_SQ, rel=1e-10)
     assert state.h1_seminorm() == pytest.approx(
         math.sqrt(2.0 * math.pi * STATE_GRAD_SQ), rel=1e-12
     )
     # the cos^2 <= 1 envelope, the log-power profile's gradient integral, is strict
-    assert 0.0 < state.grad_sq_integral() < profile_log_power(CFG).grad_sq_integral()
+    assert 0.0 < state.grad_sq < profile_log_power(CFG).grad_sq
 
 
 def test_state_gradient_sandwich_by_direct_quadrature():
@@ -141,14 +148,14 @@ def test_state_gradient_sandwich_by_direct_quadrature():
         limit=20_000,
     )
     assert quad_err < 1e-6
-    grad_sq = profile_state(CFG).grad_sq_integral()
+    grad_sq = profile_state(CFG).grad_sq
     assert finite - 1e-8 <= grad_sq <= finite + (1.0 / 3.0) / T + 1e-8
 
 
 def test_log_power_gradient_exact():
     prof = profile_log_power(CFG)
     # beta^2 t_b^(2 beta - 1) / (1 - 2 beta) collapses to 1/(3 pi) here
-    assert prof.grad_sq_integral() == pytest.approx(
+    assert prof.grad_sq == pytest.approx(
         1.0 / (3.0 * math.pi), rel=1e-14
     )
     assert float(prof.values(CFG.t_boundary)) == pytest.approx(0.0, abs=1e-12)
@@ -158,7 +165,7 @@ def test_ramp_profile_geometry():
     ramp = profile_ramp(CFG)
     knee = (3.0 * math.pi / 2.0) ** 3
     tb = CFG.t_boundary
-    assert ramp.grad_sq_integral() == pytest.approx(
+    assert ramp.grad_sq == pytest.approx(
         1.0 / (knee - tb), rel=1e-13
     )
     vals = ramp.values(np.array([tb, 0.5 * (tb + knee), knee, knee + 50.0]))
@@ -175,7 +182,7 @@ def test_profiles_refuse_points_outside_the_disk():
 
 def test_piecewise_linear_profile():
     prof = _profile_piecewise_linear([0.0, 1.0, 3.0], [0.0, 2.0, 2.0])
-    assert prof.grad_sq_integral() == 4.0
+    assert prof.grad_sq == 4.0
     np.testing.assert_allclose(
         prof.values([0.0, 0.5, 1.0, 2.0, 3.0, 10.0]),
         [0.0, 1.0, 2.0, 2.0, 2.0, 2.0],
@@ -212,7 +219,7 @@ def test_measure_mass_bound_contains_partial_sums():
     # the bound's direct part (the first 200,000 terms of sum 1/gap) is
     # positive, and its tail enclosure adds to it
     k = np.arange(1, 200_001, dtype=float)
-    direct = float((1.0 / log_radius_gap(k, CFG.beta)).sum())
+    direct = float((1.0 / log_radius_gap(CFG, k)).sum())
     bound = measure_mass_bound(CFG)
     assert 0.0 < 2.0 * math.pi * math.sqrt(CFG.sum_omega_sq()) * math.sqrt(direct) < bound
     sums = pair_with_radial(CFG, profile_ramp(CFG), 5000)
@@ -234,7 +241,7 @@ def test_unbounded_side_grows_like_the_constant_times_log():
     const = growth_constant(CFG)
     # the k-th term times k approaches the constant
     k = np.array([1.0e6])
-    gap = log_radius_gap(k, CFG.beta)
+    gap = log_radius_gap(CFG, k)
     # log_power at the upper ring is (2 k pi + pi/2) - pi = 2 k pi - pi/2
     term = CFG.omega(k) * 2.0 * math.pi * (2.0 * k * math.pi - math.pi / 2.0)
     term = term / np.sqrt(gap)

@@ -58,11 +58,10 @@ def test_pairing_identity_for_random_tests(solved_biactive):
     """The interpolation-weight pairing identifies the two parts: for any w,
     xi.((1-v)w) recovers the lower pairing and xi.(v w) minus the upper."""
     _, sol = solved_biactive
-    split = split_multiplier(sol)
     rng = np.random.default_rng(0)
     for _ in range(25):
         w = rng.standard_normal(sol.y.values.size)
-        assert pairing_identity_gap(sol, split, w) <= 1e-12
+        assert pairing_identity_gap(sol, w) <= 1e-12
 
 
 def test_split_refuses_interior_mass(solved_biactive):

@@ -1,6 +1,6 @@
 """Every public name in the package has a use outside tests, every name a
 package module imports is used in that module, and no public function
-takes a solution beside its contact sets.
+takes a solution beside its contact sets or its multiplier split.
 
 Walks the syntax trees of src/, demos/ and perfbench/. Each public
 top-level function and class of src/biobstacle, and each public method and
@@ -124,10 +124,11 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 
 def test_no_public_function_takes_a_solution_beside_its_sets():
-    """A solution carries its contact sets (``BopSolution.sets``), so no
-    public function takes a ``SetPartition`` beside a ``BopSolution`` that
-    the sets could be read off, and nothing has to check that the two
-    belong together."""
+    """A solution carries its contact sets (``BopSolution.sets``) and its
+    multiplier split (``split_multiplier``), so no public function takes a
+    ``SetPartition`` or a ``MultiplierSplit`` beside a ``BopSolution`` that
+    either could be read off, and nothing has to check that the two belong
+    together."""
     both = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -136,6 +137,6 @@ def test_no_public_function_takes_a_solution_beside_its_sets():
             params = (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
             annotated = {ast.unparse(p.annotation).strip("'\"")
                          for p in params if p.annotation is not None}
-            if {"BopSolution", "SetPartition"} <= annotated:
+            if "BopSolution" in annotated and annotated & {"SetPartition", "MultiplierSplit"}:
                 both.append(f"{path.name}:{node.lineno} {node.name}")
-    assert both == [], f"functions that take a solution and its sets: {both}"
+    assert both == [], f"functions that take a solution and its sets or split: {both}"
