@@ -216,7 +216,10 @@ class AssembledOperator:
     @cached_property
     def _red_black(self) -> tuple[tuple[np.ndarray, sp.csr_matrix, np.ndarray], ...]:
         """(nodes, their rows of the matrix, their diagonal) per colour of
-        Grid.checkerboard, kept for the projected sweeps of obstacle._sweep."""
+        Grid.checkerboard, red first, kept for the projected sweeps of
+        obstacle._sweep; obstacle._colours adds each solve's load and bounds
+        on the same nodes. The rows give a colour's residual, or refresh its
+        part of the multiplier A x - b, in one half-matvec."""
         diagonal = self.matrix.diagonal()
         return tuple((nodes, self.matrix[nodes], diagonal[nodes])
                      for nodes in self.grid.checkerboard())

@@ -63,9 +63,12 @@ COARSE_MIN = 16
 SEED_SWEEPS = 6
 # a symmetric free block whose half-bandwidth in natural order is at most
 # this is solved by banded Cholesky, a wider one by SuperLU (_solve_block).
-# Per factorization and solve of a 70%-free Laplacian block (half-bandwidth
-# in brackets), Cholesky against SuperLU: 32^2 (29) 0.18 vs 0.86 ms, 64^2
-# (53) 1.5 vs 3.2 ms, 96^2 (81) 6.9 vs 7.9 ms, 128^2 (103) 15.3 vs 13.9 ms
+# Per factorization and solve (median ms, half-bandwidth in brackets),
+# Cholesky against SuperLU as _factor calls it. On the final free block of a
+# solved Laplacian draw: 64^2 (64) 4.5 vs 6.8, 80^2 (80) 8.5 vs 8.9, 96^2
+# (96) 18.7 vs 22.3, 128^2 (126) 29.8 vs 21.6. On a random 70%-free mask,
+# whose scattered holes favour SuperLU: 32^2 (28) 0.23 vs 1.1, 64^2 (55)
+# 2.5 vs 3.7, 80^2 (66) 5.9 vs 5.2, 128^2 (108) 22 vs 13
 _BAND_LIMIT = 80
 
 
@@ -192,20 +195,22 @@ def _solve_block(data: np.ndarray, rows: np.ndarray, indptr: np.ndarray,
     Cholesky breaks down.
     """
     m = rhs.size
-    if symmetric:
+    # rows are sorted within each column and every column holds its diagonal,
+    # so the column ends give the half-bandwidth: a block bound for SuperLU
+    # is never expanded column by column
+    width = int((rows[indptr[1:] - 1] - np.arange(m)).max())
+    if symmetric and width <= _BAND_LIMIT:
         cols = np.repeat(np.arange(m), np.diff(indptr))
         below = rows - cols
-        width = int(below.max())
-        if width <= _BAND_LIMIT:
-            lower = below >= 0
-            band = np.zeros((m, width + 1)).T   # Fortran order, as LAPACK reads it
-            band[below[lower], cols[lower]] = data[lower]
-            factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
-            if info > 0:
-                raise NotPositiveDefinite(
-                    f"free block of order {m} is not positive definite: its "
-                    f"leading minor of order {info} is not positive")
-            return lapack.dpbtrs(factor, rhs, lower=1)[0]
+        lower = below >= 0
+        band = np.zeros((m, width + 1)).T   # Fortran order, as LAPACK reads it
+        band[below[lower], cols[lower]] = data[lower]
+        factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise NotPositiveDefinite(
+                f"free block of order {m} is not positive definite: its "
+                f"leading minor of order {info} is not positive")
+        return lapack.dpbtrs(factor, rhs, lower=1)[0]
     return _factor(sp.csc_matrix((data, rows, indptr), shape=(m, m))).solve(rhs)
 
 
@@ -215,9 +220,16 @@ def _factor(block: sp.csc_matrix) -> spla.SuperLU:
     _BAND_LIMIT. Every block is a principal block of an M-matrix, so its
     pattern is symmetric and it factors without pivoting. Minimum degree on
     A^T + A with diagonal pivots fills less than splu's default, COLAMD with
-    partial pivoting."""
+    partial pivoting.
+
+    SuperLU's work arrays grow with panel width times block order, and the
+    supernodes of a 5-point block are narrow. The 24 SuperLU blocks of one
+    cold_solve benchmark run (seed 7, median of 5, two runs) factored in
+    0.73-1.06 s at the default panel of 20 columns and in 0.52-0.70 s at
+    every width from 2 to 8, with no order among those beyond run-to-run
+    noise, and with the same fill at every width."""
     return spla.splu(block, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
+                     panel_size=4, options={"SymmetricMode": True})
 
 
 def _active_sets(xi: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -320,8 +332,9 @@ def _coarse_state(
     x_coarse, _, _ = _pdas_solve(coarse_operator, restrict @ b, restrict @ lo,
                                  restrict @ hi, tol)
     x = np.clip(prolong @ x_coarse, lo, hi)
+    colours, xi = _colours(operator, b, lo, hi), operator.matrix @ x - b
     for _ in range(SEED_SWEEPS):
-        _sweep(operator, b, lo, hi, x, 1.0)
+        _sweep(colours, x, xi, 1.0)
     return x
 
 
@@ -372,14 +385,37 @@ def _pdas_solve(
     return x, iterations, err
 
 
-def _sweep(operator: AssembledOperator, b: np.ndarray, lo: np.ndarray,
-           hi: np.ndarray, x: np.ndarray, omega: float) -> None:
-    """One red-black projected SOR sweep on x in place: per colour, relax by
-    omega toward each row's equation, then project onto [lo, hi]. Nodes of
-    one colour never couple, so each colour updates at once."""
-    for nodes, rows, diagonal in operator._red_black:
-        r = b[nodes] - rows @ x
-        x[nodes] = np.clip(x[nodes] + omega * r / diagonal, lo[nodes], hi[nodes])
+def _colours(operator: AssembledOperator, b: np.ndarray, lo: np.ndarray,
+             hi: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per colour of operator._red_black: (nodes, rows, diagonal, b, lo, hi)
+    restricted to its nodes, gathered once for every sweep of a solve."""
+    return tuple((nodes, rows, diagonal, b[nodes], lo[nodes], hi[nodes])
+                 for nodes, rows, diagonal in operator._red_black)
+
+
+def _sweep(colours: tuple[tuple[np.ndarray, ...], ...], x: np.ndarray,
+           xi: np.ndarray, omega: float) -> None:
+    """One red-black projected SOR sweep on x in place, keeping its
+    multiplier xi = A x - b, which must hold on entry, current in place:
+    per colour, relax by omega toward each row's equation, then project
+    onto [lo, hi]. Nodes of one colour never couple, so each colour updates
+    at once.
+
+    The first colour relaxes on -xi, its residual. The second colour's own
+    residual r gives its new multiplier d*(x_new - x_old) - r, since its
+    update moves only its diagonal term; one half-matvec then refreshes the
+    first colour. x takes the same bits as relaxing each colour on b - rows
+    @ x; the second colour's multiplier agrees with A x - b to roundoff.
+    """
+    (red, red_rows, red_diag, red_b, red_lo, red_hi), black_colour = colours
+    black, black_rows, black_diag, black_b, black_lo, black_hi = black_colour
+    x[red] = np.clip(x[red] - omega * xi[red] / red_diag, red_lo, red_hi)
+    r = black_b - black_rows @ x
+    old = x[black]
+    new = np.clip(old + omega * r / black_diag, black_lo, black_hi)
+    x[black] = new
+    xi[black] = black_diag * (new - old) - r
+    xi[red] = red_rows @ x - red_b
 
 
 def solve_vi_bounds(
@@ -395,7 +431,9 @@ def solve_vi_bounds(
     The PSOR backend of solve_bop(method="psor") and of the critical-cone
     problems, whose bounds mix 0 and +-inf. Relaxation operator.relaxation
     (Young's optimal value for the stencil), iteration cap
-    SOLVER_DEFAULTS["psor"], red-black sweeps (_sweep). Raises NoConvergence
+    SOLVER_DEFAULTS["psor"], red-black sweeps (_sweep) that carry the
+    multiplier the stopping test reads, so a sweep needs no matvec of its
+    own beyond the two half-matvecs of its colours. Raises NoConvergence
     at the cap, at the first sweep whose residual is not finite, or once
     PSOR_STALL sweeps have passed without a new smallest residual; the
     stall's message names that residual and its sweep. Every sweep ends by
@@ -405,14 +443,14 @@ def solve_vi_bounds(
     x = np.clip(np.zeros(operator.grid.total), lo, hi)
     if not np.isfinite(x).all():
         raise InfeasibleObstacles("no finite starting point inside the bounds")
-    matrix = operator.matrix
+    colours, xi = _colours(operator, b, lo, hi), operator.matrix @ x - b
     scale = natural_scale(operator.grid)
     max_iter = SOLVER_DEFAULTS["psor"][1]
     omega = operator.relaxation
     err, best, best_sweep = np.inf, np.inf, 0
     for it in range(1, max_iter + 1):
-        _sweep(operator, b, lo, hi, x, omega)
-        err = _residual(matrix @ x - b, x, lo, hi, scale)
+        _sweep(colours, x, xi, omega)
+        err = _residual(xi, x, lo, hi, scale)
         if err <= tol:
             return x, it, err
         if not np.isfinite(err):

@@ -64,9 +64,17 @@ class RingConfig:
         return float(special.zeta(2.0 * self.omega_exponent, 1))
 
 
+def _ring_index(k) -> np.ndarray:
+    """k as a float array; raises InvalidSpec on a ring index below 1."""
+    k = np.asarray(k, dtype=float)
+    if (k < 1).any():
+        raise InvalidSpec("ring index starts at 1")
+    return k
+
+
 def ring_log_radii(config: RingConfig, k) -> tuple[np.ndarray, np.ndarray]:
     """(t at lower ring, t at upper ring) for ring index k >= 1."""
-    k = np.asarray(k, dtype=float)
+    k = _ring_index(k)
     return (
         (2.0 * k * math.pi - math.pi / 2.0) ** config.p,
         (2.0 * k * math.pi + math.pi / 2.0) ** config.p,
@@ -80,9 +88,7 @@ def log_radius_gap(config: RingConfig, k):
     a = 2k*pi, s = pi/2, which avoids the cancellation of the direct
     difference at large k.
     """
-    k = np.asarray(k, dtype=float)
-    if (k < 1).any():
-        raise InvalidSpec("ring index starts at 1")
+    k = _ring_index(k)
     a = 2.0 * k * math.pi
     s = math.pi / 2.0
     p = config.p
@@ -92,7 +98,7 @@ def log_radius_gap(config: RingConfig, k):
 def gap_bounds(config: RingConfig, k) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided mean-value bounds:
     (pi/beta)*(2k*pi - pi/2)^(1/beta - 1) <= gap_k <= same at (+ pi/2)."""
-    k = np.asarray(k, dtype=float)
+    k = _ring_index(k)
     q = config.p - 1.0
     factor = math.pi * config.p
     return (

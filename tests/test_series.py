@@ -111,6 +111,12 @@ def test_ring_index_starts_at_one():
         log_radius_gap(CFG, 0)
     with pytest.raises(InvalidSpec):
         pair_with_radial(CFG, profile_ramp(CFG), 0)
+    # the ring geometry refuses k = 0, alone or in an array, before numpy
+    # can return NaN or -inf for it
+    for ring_function in (ring_log_radii, gap_bounds, lower_bound_terms, log_radius_gap):
+        for k in (0, np.array([2.0, 0.0, 1.0])):
+            with pytest.raises(InvalidSpec, match="ring index starts at 1"):
+                ring_function(CFG, k)
     # no ring function passes, or fails deep in numpy or quad, on zero rings
     with pytest.raises(InvalidSpec):
         verify_vi_solution_property(CFG, K=0, samples=5, seed=1)

@@ -756,6 +756,64 @@ def test_psor_with_the_operator_relaxation_reaches_pdas(monkeypatch, n, kind,
     assert np.abs(psor.y.values - pdas.y.values).max() <= 1e-8
 
 
+def _two_pass_sweep(operator, b, lo, hi, x, omega):
+    """Reference sweep: each colour relaxes on its residual b - rows @ x,
+    and the multiplier is recomputed by a full matvec afterwards."""
+    for nodes, rows, diagonal in operator._red_black:
+        r = b[nodes] - rows @ x
+        x[nodes] = np.clip(x[nodes] + omega * r / diagonal, lo[nodes], hi[nodes])
+    return operator.matrix @ x - b
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("kind, reaction, peclet", [
+    ("laplacian", 0.0, None),
+    ("laplacian_plus_reaction", 2.0, None),
+    ("laplacian_plus_convection", 0.0, (0.5, -0.3)),
+    ("laplacian_plus_convection", 0.0, (1.0, -1.0)),
+], ids=["laplacian", "reaction", "convection", "peclet_1_on_both"])
+@pytest.mark.parametrize("relaxed", [True, False], ids=["psor", "gauss_seidel"])
+def test_the_sweep_carries_the_multiplier_of_a_two_pass_sweep(monkeypatch, n, kind,
+                                                              reaction, peclet, relaxed):
+    """Over 50 sweeps from the projection of 0, _sweep gives the two-pass
+    sweep's state bit for bit, and its carried multiplier stays within
+    1e-12 max|b| of A x - b."""
+    velocity = None if peclet is None else tuple(2.0 * p * (n + 1) for p in peclet)
+    spec = OperatorSpec(kind, reaction=reaction, convection=velocity)
+    monkeypatch.setattr(problems, "random_operator", lambda *args: spec)
+    problem, u = random_instance(unit_grid(n, dim=2), np.random.default_rng([n, 17]))
+    operator, b = problem.operator, problem.load(u)
+    lo, hi = problem.obstacles.psi, problem.obstacles.phi
+    omega = operator.relaxation if relaxed else 1.0
+    want = np.clip(np.zeros(b.size), lo, hi)
+    x = want.copy()
+    colours, xi = obstacle._colours(operator, b, lo, hi), operator.matrix @ x - b
+    for _ in range(50):
+        exact = _two_pass_sweep(operator, b, lo, hi, want, omega)
+        obstacle._sweep(colours, x, xi, omega)
+        assert np.array_equal(x, want)
+        assert np.abs(xi - exact).max() <= 1e-12 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("kind", ["laplacian", "laplacian_plus_convection"])
+def test_superlu_panel_width_keeps_the_fill_and_the_solution(kind):
+    """A 128^2 free block (symmetric ones that wide go to SuperLU too)
+    factored by _factor has the fill of splu at its default panel width,
+    and the two solutions agree to 1e-13 relative."""
+    problem, u = random_instance(unit_grid(128), np.random.default_rng(29),
+                                 operator_kinds=(kind,))
+    free = solve_bop(problem, u).sets.inactive
+    block = problem.operator.matrix[free][:, free].tocsc()
+    rhs = np.random.default_rng(3).standard_normal(block.shape[0])
+    narrow = obstacle._factor(block)
+    default = scipy.sparse.linalg.splu(block, permc_spec="MMD_AT_PLUS_A",
+                                       diag_pivot_thresh=0.0,
+                                       options={"SymmetricMode": True})
+    assert narrow.L.nnz + narrow.U.nnz == default.L.nnz + default.U.nnz
+    want = default.solve(rhs)
+    assert np.abs(narrow.solve(rhs) - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.fixture
 def splu_calls(monkeypatch):
     """The number of scipy.sparse.linalg.splu calls made so far."""
