@@ -1,8 +1,10 @@
 """Command-line entry point: one subcommand per experiment.
 
 Every subcommand builds a deterministic experiment from a seed plus an
-optional JSON config, writes schema-versioned artifacts into the output
-directory, and exits 0 on success, 1 when the written report breaks a row
+optional JSON config. Its runner writes its CSV into the output directory,
+naming the columns, and returns its report; ``main`` writes that report
+as ``<experiment>_report.json`` (``verify_report.json`` for verify-all)
+before judging it, and exits 0 on success, 1 when the report breaks a row
 of ``verify.BOUNDS`` (the message names each broken field) or the run
 fails, or 2 on configuration errors.
 """
@@ -33,16 +35,10 @@ from .errors import (
     InvalidBeta,
     InvalidSpec,
 )
+from .multipliers import node_flags
 from .obstacle import SOLVER_DEFAULTS, solve_bop, solution_residual
 from .radial_series import RingConfig, series_study
-from .reporting import (
-    write_derivative_csv,
-    write_descent_csv,
-    write_json,
-    write_mosco_csv,
-    write_series_csv,
-    write_solution_csv,
-)
+from .reporting import write_json, write_node_csv, write_table_csv
 from .tracking import descent_loop
 from .verify import failures, run_acceptance
 
@@ -144,8 +140,10 @@ def run_solve(s: dict, out: Path) -> dict:
     problem, u = problems.random_instance(
         problems.unit_grid(s["grid"], dim=s["dim"]), rng)
     solution = solve_bop(problem, u, method=s["method"])
-    write_solution_csv(out / "solve_solution.csv", solution)
-    report = {
+    write_node_csv(out / "solve_solution.csv", problem.grid, {
+        "y": solution.y.values, "xi": solution.xi.values,
+        "flag": node_flags(solution.sets)})
+    return {
         "experiment": "solve",
         "seed": s["seed"],
         "parameters": _parameters(s),
@@ -154,8 +152,6 @@ def run_solve(s: dict, out: Path) -> dict:
         "natural_residual": solution_residual(solution),
         "set_counts": solution.sets.counts(),
     }
-    write_json(out / "solve_report.json", report)
-    return report
 
 
 def run_derivative(s: dict, out: Path) -> dict:
@@ -168,8 +164,9 @@ def run_derivative(s: dict, out: Path) -> dict:
     reduced = generalized_derivative(solution, h, s["side"])
     inactive = gateaux_derivative_on_D(solution, h)
     agreement = float(np.abs(cone.eta.values - inactive.eta.values).max())
-    write_derivative_csv(out / "derivative_eta.csv", reduced)
-    report = {
+    write_node_csv(out / "derivative_eta.csv", problem.grid, {
+        "eta": reduced.eta.values, "in_D": reduced.D_used.astype(int)})
+    return {
         "experiment": "derivative",
         "seed": s["seed"],
         "parameters": _parameters(s),
@@ -177,8 +174,6 @@ def run_derivative(s: dict, out: Path) -> dict:
         "dim_D": int(reduced.D_used.sum()),
         "set_counts": solution.sets.counts(),
     }
-    write_json(out / "derivative_report.json", report)
-    return report
 
 
 def run_mosco(s: dict, out: Path) -> dict:
@@ -188,8 +183,9 @@ def run_mosco(s: dict, out: Path) -> dict:
     solution = solve_bop(inst["problem"], inst["u"])
     result = mosco_convergence_experiment(solution, inst["h"], side=s["side"],
                                           schedule=schedule, e=inst["e"])
-    write_mosco_csv(out / "mosco_errors.csv", result["steps"])
-    report = {
+    write_table_csv(out / "mosco_errors.csv", result["steps"],
+                    ("n", "error", "state_gap", "dim_D", "sandwich_ok"))
+    return {
         "experiment": "mosco",
         "seed": s["seed"],
         "parameters": {**_parameters(s), "schedule": list(schedule)},
@@ -198,8 +194,6 @@ def run_mosco(s: dict, out: Path) -> dict:
         "dim_D_limit": result["dim_D_limit"],
         "errors": [step["error"] for step in result["steps"]],
     }
-    write_json(out / "mosco_report.json", report)
-    return report
 
 
 def run_control(s: dict, out: Path) -> dict:
@@ -209,8 +203,9 @@ def run_control(s: dict, out: Path) -> dict:
     u0 = problems.perturbed_control(inst, rng)
     trace = descent_loop(inst["control_problem"], u0, steps=s["steps"],
                          side=s["side"])
-    write_descent_csv(out / "control_trace.csv", trace.rows)
-    report = {
+    write_table_csv(out / "control_trace.csv", trace.rows,
+                    ("iter", "objective", "step", "grad_norm", "side"))
+    return {
         "experiment": "control",
         "seed": s["seed"],
         "parameters": _parameters(s),
@@ -220,31 +215,27 @@ def run_control(s: dict, out: Path) -> dict:
         "termination": trace.termination,
         "line_search_failures": trace.line_search_failures,
     }
-    write_json(out / "control_report.json", report)
-    return report
 
 
 def run_counterexample(s: dict, out: Path) -> dict:
     """Ring-series partial sums and bounds."""
     ring_config = RingConfig(beta=s["beta"], omega_exponent=s["omega_exponent"])
     study = series_study(ring_config, K_max=s["K"], tail_from=min(10_000, s["K"]))
-    write_series_csv(out / "counterexample_series.csv", study["rows"])
-    report = {
+    write_table_csv(out / "counterexample_series.csv", study["rows"],
+                    ("K", "S_K_bounded", "S_K_unbounded", "lower_bound_partial_sum",
+                     "ln_K"))
+    return {
         "experiment": "counterexample",
         "parameters": _parameters(s),
         "bounded": study["bounded"],
         "unbounded": study["unbounded"],
         "h1_checks": study["h1_checks"],
     }
-    write_json(out / "counterexample_report.json", report)
-    return report
 
 
 def run_verify_all(s: dict, out: Path) -> dict:
-    """Run every verification suite and write the report."""
-    report = run_acceptance(s["seed"])
-    write_json(out / "verify_report.json", report)
-    return report
+    """Run every verification suite."""
+    return run_acceptance(s["seed"])
 
 
 RUNNERS = {
@@ -277,9 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    runner = RUNNERS[args.experiment]
+    out = Path(args.out)
     try:
-        broken = failures(runner(_settings(args), Path(args.out)))
+        report = RUNNERS[args.experiment](_settings(args), out)
+        write_json(out / f"{args.experiment.removesuffix('-all')}_report.json", report)
+        broken = failures(report)
         if broken:
             raise AssertionFailure("; ".join(broken))
     except AssertionFailure as exc:

@@ -111,8 +111,8 @@ def mosco_convergence_experiment(solution: BopSolution, h: GridFunction, side: s
     side="upper". For each n the instance is re-solved from the nearby limit
     point (solve_bop's near), re-classified, and the reduced derivative on
     that instance's one-sided domain is compared with the limit derivative.
-    Reports the error decay and, per step, the set inclusions between u_n
-    and u as a control-ordered pair.
+    Reports the error decay, per step the set inclusions between u_n and u
+    as a control-ordered pair, and the limit derivative itself (eta_limit).
     """
     problem, u = solution.problem, solution.u
     if (e.values <= 0).any():
@@ -150,4 +150,5 @@ def mosco_convergence_experiment(solution: BopSolution, h: GridFunction, side: s
                                                               len(errors) - 1)
         ),
         "dim_D_limit": int(limit_result.D_used.sum()),
+        "eta_limit": eta_limit,
     }

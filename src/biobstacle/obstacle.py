@@ -438,8 +438,15 @@ def solve_vi_bounds(
     PSOR_STALL sweeps have passed without a new smallest residual; the
     stall's message names that residual and its sweep. Every sweep ends by
     projecting onto [lo, hi], so the returned x lies in the bounds exactly.
-    Returns (x, sweeps, residual).
+    A crossed box (lo > hi anywhere) raises InfeasibleObstacles naming the
+    crossed nodes and the largest lo - hi; lo == hi pins a node. Returns
+    (x, sweeps, residual).
     """
+    crossed = lo > hi
+    if crossed.any():
+        raise InfeasibleObstacles(
+            f"lo > hi at {int(crossed.sum())} nodes, largest lo - hi "
+            f"{float((lo - hi)[crossed].max()):.3e}")
     x = np.clip(np.zeros(operator.grid.total), lo, hi)
     if not np.isfinite(x).all():
         raise InfeasibleObstacles("no finite starting point inside the bounds")

@@ -357,7 +357,9 @@ def lower_bound_terms(config: RingConfig, k: np.ndarray) -> np.ndarray:
 def series_study(config: RingConfig, K_max: int, tail_from: int) -> dict:
     """Headline computation: bounded vs unbounded one-sided partial sums.
 
-    Returns per-ring data (decimated for reporting), the Cauchy diagnostics of
+    Returns per-ring rows (decimated for reporting, keyed by their CSV
+    columns: S_K_bounded and S_K_unbounded are the upper-part partial sums
+    against the ramp and log-power profiles), the Cauchy diagnostics of
     the bounded case, the divergence diagnostics of the unbounded case, and
     the H^-1 bound checks for both shipped profiles. The growth fit samples
     ln K from K = 100 up, so K_max must exceed 100, and the tail starts at
@@ -437,9 +439,8 @@ def series_study(config: RingConfig, K_max: int, tail_from: int) -> dict:
         "rows": [
             {
                 "K": int(kk),
-                "bounded_upper_part": float(upper_ramp[kk - 1]),
-                "unbounded_upper_part": float(upper_logp[kk - 1]),
-                "unbounded_lower_part": float(sums_logp.lower_part[kk - 1]),
+                "S_K_bounded": float(upper_ramp[kk - 1]),
+                "S_K_unbounded": float(upper_logp[kk - 1]),
                 "lower_bound_partial_sum": float(lb_partial[kk - 1]),
                 "ln_K": float(lnk[kk - 1]),
             }

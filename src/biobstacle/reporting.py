@@ -13,10 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .derivatives import DerivativeResult
 from .grid import Grid
-from .multipliers import node_flags
-from .obstacle import BopSolution
 
 REPORT_SCHEMA_VERSION = "biobstacle-report/1"
 
@@ -62,62 +59,14 @@ def write_csv(path, header: list[str], rows) -> Path:
     return path
 
 
-def _coordinate_columns(grid: Grid) -> tuple[list[str], np.ndarray]:
-    names = ["x", "y_coord"][: grid.dim]
-    return names, grid.coordinates()
+def write_node_csv(path, grid: Grid, columns: dict[str, np.ndarray]) -> Path:
+    """Columns: node, x[, y_coord], then each named per-node array in order."""
+    arrays = [*grid.coordinates().T, *columns.values()]
+    rows = zip(range(grid.total), *(array.tolist() for array in arrays))
+    return write_csv(path, ["node", *["x", "y_coord"][: grid.dim], *columns], rows)
 
 
-def write_solution_csv(path, solution: BopSolution) -> Path:
-    """Columns: node, x[, y_coord], y, xi, flag (lower/upper/inactive)."""
-    grid = solution.problem.grid
-    names, coords = _coordinate_columns(grid)
-    flags = node_flags(solution.sets)
-    rows = (
-        [i, *coords[i], solution.y.values[i], solution.xi.values[i], flags[i]]
-        for i in range(grid.total)
-    )
-    return write_csv(path, ["node", *names, "y", "xi", "flag"], rows)
-
-
-def write_derivative_csv(path, result: DerivativeResult) -> Path:
-    """Columns: node, x[, y_coord], eta, in_D (0/1 mask dump of the reduced
-    domain, so the result must come from a reduced route)."""
-    grid, eta = result.eta.grid, result.eta.values
-    names, coords = _coordinate_columns(grid)
-    rows = (
-        [i, *coords[i], eta[i], int(result.D_used[i])]
-        for i in range(grid.total)
-    )
-    return write_csv(path, ["node", *names, "eta", "in_D"], rows)
-
-
-def write_mosco_csv(path, steps: list[dict]) -> Path:
-    """Columns: n, error, state_gap, dim_D, sandwich_ok."""
-    rows = (
-        [s["n"], s["error"], s["state_gap"], s["dim_D"], s["sandwich_ok"]]
-        for s in steps
-    )
-    return write_csv(path, ["n", "error", "state_gap", "dim_D", "sandwich_ok"], rows)
-
-
-def write_descent_csv(path, rows: list[dict]) -> Path:
-    """Columns: iter, objective, step, grad_norm, side."""
-    body = (
-        [r["iter"], r["objective"], r["step"], r["grad_norm"], r["side"]]
-        for r in rows
-    )
-    return write_csv(path, ["iter", "objective", "step", "grad_norm", "side"], body)
-
-
-def write_series_csv(path, rows: list[dict]) -> Path:
-    """Columns: K, S_K_bounded, S_K_unbounded, lower_bound_partial_sum, ln_K."""
-    body = (
-        [r["K"], r["bounded_upper_part"], r["unbounded_upper_part"],
-         r["lower_bound_partial_sum"], r["ln_K"]]
-        for r in rows
-    )
-    return write_csv(
-        path,
-        ["K", "S_K_bounded", "S_K_unbounded", "lower_bound_partial_sum", "ln_K"],
-        body,
-    )
+def write_table_csv(path, records, columns: tuple[str, ...]) -> Path:
+    """One row per record: its values under the named keys, in order."""
+    return write_csv(path, list(columns),
+                     ([record[key] for key in columns] for record in records))

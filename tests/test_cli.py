@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, config precedence, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -29,13 +30,6 @@ def test_solve_writes_report_and_csv(tmp_path):
     assert len(lines) == 1 + 6
 
 
-def test_solve_2d_has_both_coordinate_columns(tmp_path):
-    code, out = _run(tmp_path, "solve", "--grid", "5", "--dim", "2")
-    assert code == 0
-    header = (out / "solve_solution.csv").read_text().splitlines()[0]
-    assert header == "node,x,y_coord,y,xi,flag"
-
-
 def test_derivative_mosco_control_smoke(tmp_path):
     code, out = _run(tmp_path, "derivative", "--grid", "12")
     assert code == 0
@@ -61,6 +55,36 @@ def test_derivative_mosco_control_smoke(tmp_path):
     lines = (out / "control_trace.csv").read_text().splitlines()
     assert lines[0] == "iter,objective,step,grad_norm,side"
     assert len(lines) == 1 + 5
+
+
+def _readme_csv_headers() -> dict[str, str]:
+    """README's CSV list: file name -> header, y_coord in brackets."""
+    rows = re.findall(r"^  - `(\w+\.csv)`: `([^`]+)`$",
+                      (ROOT / "README.md").read_text(), re.MULTILINE)
+    return dict(rows)
+
+
+@pytest.mark.parametrize("argv, dim", [
+    (["solve", "--grid", "6", "--dim", "1"], 1),
+    (["solve", "--grid", "5", "--dim", "2"], 2),
+    (["derivative", "--grid", "12"], 2),
+    (["mosco", "--grid", "10", "--schedule", "2:16"], None),
+    (["control", "--grid", "10", "--steps", "5"], None),
+    (["counterexample", "--K", "1500"], None),
+], ids=["solve-1d", "solve-2d", "derivative", "mosco", "control", "counterexample"])
+def test_each_experiment_writes_the_csv_header_the_readme_lists(tmp_path, argv, dim):
+    """A per-node CSV (dim given) has y_coord in 2-D and not in 1-D; a per-step
+    or per-ring CSV has no coordinate column."""
+    documented = _readme_csv_headers()
+    assert len(documented) == 5
+    code, out = _run(tmp_path, *argv)
+    assert code == 0
+    (csv,) = [path for path in out.iterdir() if path.suffix == ".csv"]
+    expected = documented[csv.name]
+    assert ("[,y_coord]" in expected) == (dim is not None)
+    if dim is not None:
+        expected = expected.replace("[,y_coord]", ",y_coord" if dim == 2 else "")
+    assert csv.read_text().splitlines()[0] == expected
 
 
 def test_control_reports_the_objective_at_the_starting_control(tmp_path):

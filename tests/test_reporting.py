@@ -8,24 +8,21 @@ import pytest
 from biobstacle import (
     BopProblem,
     ControlOperator,
-    DerivativeResult,
     ObstaclePair,
     OperatorSpec,
     assemble,
     solve_bop,
 )
+from biobstacle.multipliers import node_flags
 from biobstacle.problems import unit_grid
 from biobstacle.reporting import (
     REPORT_SCHEMA_VERSION,
     render_json,
     sanitize,
     write_csv,
-    write_derivative_csv,
-    write_descent_csv,
     write_json,
-    write_mosco_csv,
-    write_series_csv,
-    write_solution_csv,
+    write_node_csv,
+    write_table_csv,
 )
 
 
@@ -111,41 +108,56 @@ def test_write_csv_is_byte_deterministic(tmp_path):
 
 def test_solution_csv_flags(tmp_path):
     problem, sol = _solved_instance()
-    lines = write_solution_csv(tmp_path / "flagged.csv", sol).read_text().splitlines()
+    lines = write_node_csv(tmp_path / "flagged.csv", problem.grid, {
+        "y": sol.y.values, "xi": sol.xi.values, "flag": node_flags(sol.sets),
+    }).read_text().splitlines()
     assert lines[0] == "node,x,y,xi,flag"
+    assert lines[1].split(",")[:3] == ["0", "0.2", repr(float(sol.y.values[0]))]
     flags = {line.rsplit(",", 1)[1] for line in lines[1:]}
     assert flags <= {"lower", "upper", "inactive"}
     assert "lower" in flags and "upper" in flags
+
+
+def test_node_csv_has_both_coordinate_columns_in_2d(tmp_path):
+    grid = unit_grid(2, dim=2)
+    lines = write_node_csv(tmp_path / "eta.csv", grid, {
+        "eta": np.arange(4.0)}).read_text().splitlines()
+    assert lines[0] == "node,x,y_coord,eta"
+    coords = grid.coordinates().tolist()
+    assert lines[1:] == [f"{i},{coords[i][0]!r},{coords[i][1]!r},{float(i)!r}"
+                         for i in range(4)]
 
 
 def test_derivative_csv_mask_column(tmp_path):
     grid = unit_grid(3, dim=1)
     eta = np.array([0.5, 0.0, -0.5])
     mask = np.array([True, False, True])
-    result = DerivativeResult(eta=grid.function(eta), D_used=mask)
-    lines = write_derivative_csv(tmp_path / "eta.csv", result).read_text().splitlines()
+    lines = write_node_csv(tmp_path / "eta.csv", grid, {
+        "eta": eta, "in_D": mask.astype(int)}).read_text().splitlines()
     assert lines[0] == "node,x,eta,in_D"
     assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["1", "0", "1"]
 
 
 def test_mosco_descent_series_headers(tmp_path):
-    mosco = write_mosco_csv(tmp_path / "m.csv", [
-        {"n": 4, "error": 0.5, "state_gap": 0.25, "dim_D": 10,
-         "sandwich_ok": True, "extra": "ignored"},
-    ]).read_text().splitlines()
+    """Columns come in the order named, and keys not named are left out."""
+    mosco = write_table_csv(tmp_path / "m.csv", [
+        {"sandwich_ok": True, "n": 4, "error": 0.5, "state_gap": 0.25,
+         "dim_D": 10, "extra": "ignored"},
+    ], ("n", "error", "state_gap", "dim_D", "sandwich_ok")).read_text().splitlines()
     assert mosco[0] == "n,error,state_gap,dim_D,sandwich_ok"
     assert mosco[1] == "4,0.5,0.25,10,True"
 
-    descent = write_descent_csv(tmp_path / "d.csv", [
+    descent = write_table_csv(tmp_path / "d.csv", [
         {"iter": 0, "objective": 1.5, "step": 0.25, "grad_norm": 0.125,
          "side": "lower"},
-    ]).read_text().splitlines()
+    ], ("iter", "objective", "step", "grad_norm", "side")).read_text().splitlines()
     assert descent[0] == "iter,objective,step,grad_norm,side"
     assert descent[1] == "0,1.5,0.25,0.125,lower"
 
-    series = write_series_csv(tmp_path / "s.csv", [
-        {"K": 2, "bounded_upper_part": 0.5, "unbounded_upper_part": 1.5,
+    series = write_table_csv(tmp_path / "s.csv", [
+        {"K": 2, "S_K_bounded": 0.5, "S_K_unbounded": 1.5,
          "lower_bound_partial_sum": 1.25, "ln_K": 0.6931471805599453},
-    ]).read_text().splitlines()
+    ], ("K", "S_K_bounded", "S_K_unbounded", "lower_bound_partial_sum", "ln_K")
+    ).read_text().splitlines()
     assert series[0] == "K,S_K_bounded,S_K_unbounded,lower_bound_partial_sum,ln_K"
     assert series[1] == "2,0.5,1.5,1.25,0.6931471805599453"

@@ -307,16 +307,11 @@ def test_series_study_small_run():
 
     rows = study["rows"]
     assert rows[0]["K"] == 1 and rows[-1]["K"] == 2000
-    assert set(rows[0]) == {
-        "K",
-        "bounded_upper_part",
-        "unbounded_upper_part",
-        "unbounded_lower_part",
-        "lower_bound_partial_sum",
-        "ln_K",
-    }
+    # keyed by the columns of counterexample_series.csv, in their order
+    assert list(rows[0]) == [
+        "K", "S_K_bounded", "S_K_unbounded", "lower_bound_partial_sum", "ln_K"]
     for row in rows:
-        assert row["lower_bound_partial_sum"] <= row["unbounded_upper_part"] + 1e-12
+        assert row["lower_bound_partial_sum"] <= row["S_K_unbounded"] + 1e-12
 
 
 knot_values = st.lists(

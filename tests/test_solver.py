@@ -928,6 +928,39 @@ def test_vi_bounds_accepts_half_infinite_boxes():
     np.testing.assert_allclose(operator.matrix @ sol.y.values, free.load(u), atol=1e-12)
 
 
+def test_vi_bounds_refuses_a_crossed_box():
+    """lo > hi has no feasible point: PSOR must not return hi after one
+    sweep with residual 0, but name the crossed nodes and the widest
+    crossing."""
+    operator = assemble(unit_grid(8, dim=2), OperatorSpec("laplacian"))
+    b = np.ones(operator.grid.total)
+    lo, hi = np.ones(b.size), -np.ones(b.size)
+    with pytest.raises(InfeasibleObstacles, match="lo > hi at 64 nodes, largest lo - hi 2.000e"):
+        solve_vi_bounds(operator, b, lo, hi, tol=1e-10)
+    lo, hi = np.full(b.size, -np.inf), np.full(b.size, np.inf)
+    lo[[5, 9]], hi[[5, 9]] = 0.5, [0.25, 0.5]
+    with pytest.raises(InfeasibleObstacles, match="lo > hi at 1 nodes, largest lo - hi 2.500e"):
+        solve_vi_bounds(operator, b, lo, hi, tol=1e-10)
+
+
+def test_vi_bounds_pins_nodes_where_lo_equals_hi():
+    """The cone VI pins strict contact to [0, 0]: with every other node
+    free, the VI is the Dirichlet problem on the free nodes."""
+    operator = assemble(unit_grid(8, dim=2), OperatorSpec("laplacian"))
+    b = smooth_field(operator.grid, np.random.default_rng(4), amplitude=1.0).values
+    pinned = np.zeros(b.size, bool)
+    pinned[[0, 9, 27, 36, 50]] = True
+    lo = np.where(pinned, 0.0, -np.inf)
+    hi = np.where(pinned, 0.0, np.inf)
+    x, _, err = solve_vi_bounds(operator, b, lo, hi, tol=1e-12)
+    assert err <= 1e-12
+    assert (x[pinned] == 0.0).all()
+    free = ~pinned
+    expected = scipy.sparse.linalg.spsolve(
+        operator.matrix[free][:, free].tocsc(), b[free])
+    np.testing.assert_allclose(x[free], expected, rtol=1e-9, atol=1e-12 * np.abs(expected).max())
+
+
 def test_natural_residual_vanishes_only_at_solution():
     problem = _box_problem(n=6)
     u = problem.grid.constant(10.0)

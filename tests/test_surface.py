@@ -1,6 +1,7 @@
 """Every public name in the package has a use outside tests, every name a
-package module imports is used in that module, and no public function
-takes a solution beside its contact sets or its multiplier split.
+package module imports is used in that module, no public function takes
+a solution beside its contact sets or its multiplier split, and the report
+writers import no solver module.
 
 Walks the syntax trees of src/, demos/ and perfbench/. Each public
 top-level function and class of src/biobstacle, and each public method and
@@ -140,3 +141,17 @@ def test_no_public_function_takes_a_solution_beside_its_sets():
             if "BopSolution" in annotated and annotated & {"SetPartition", "MultiplierSplit"}:
                 both.append(f"{path.name}:{node.lineno} {node.name}")
     assert both == [], f"functions that take a solution and its sets or split: {both}"
+
+
+def test_reporting_imports_no_solver_module():
+    """The byte layer writes arrays and records it is handed; the runners
+    read them off solutions, so reporting needs no solver type."""
+    solver = {"obstacle", "multipliers", "derivatives", "tracking"}
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "reporting.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.rsplit(".", 1)[-1] for a in node.names}
+    assert imported & solver == set()
