@@ -86,7 +86,10 @@ class DescentTrace:
 
     @property
     def strictly_decreasing(self) -> bool:
-        objectives = self.objectives
+        """Every accepted step lowered J. A line-search failure row (step 0.0)
+        took no step, so it is not judged."""
+        objectives = [self.initial_objective,
+                      *(row["objective"] for row in self.rows if row["step"] > 0.0)]
         return all(b < a for a, b in zip(objectives, objectives[1:]))
 
 

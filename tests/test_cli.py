@@ -97,6 +97,20 @@ def test_control_reports_the_objective_at_the_starting_control(tmp_path):
     assert report["strictly_decreasing"] is True
 
 
+def test_control_passes_when_its_line_search_fails_after_accepted_steps(tmp_path):
+    """Seed 9 stalls on a roundoff plateau after 48 accepted steps; the failure
+    row stays in the trace CSV and does not fail the descent."""
+    code, out = _run(tmp_path, "control", "--config",
+                     str(ROOT / "configs" / "control.json"), "--seed", "9")
+    assert code == 0
+    report = json.loads((out / "control_report.json").read_text())
+    assert report["termination"] == "line_search_failure"
+    assert report["strictly_decreasing"] is True
+    rows = (out / "control_trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == 49
+    assert rows[-1].split(",")[2] == "0.0"
+
+
 def test_counterexample_small_run(tmp_path):
     code, out = _run(tmp_path, "counterexample", "--K", "1500")
     assert code == 0

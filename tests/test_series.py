@@ -1,6 +1,7 @@
 """Ring series in log-radius coordinates: gaps, profiles, pairings, bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from biobstacle import (
     series_study,
     verify_vi_solution_property,
 )
+from biobstacle import radial_series
 from biobstacle.errors import EvaluationDomain, InvalidBeta, InvalidSpec
 from biobstacle.radial_series import (
+    GAP_SWEEP_BLOCK,
     RadialProfile,
     bounded_tail_remainder,
     growth_constant,
@@ -93,6 +96,65 @@ def test_gap_bounds_bracket_every_ring(beta):
     assert report["interlaced"]
     assert report["min_slack_lower"] > 0.0
     assert report["min_slack_upper"] > 0.0
+
+
+def _one_shot_gap_bounds(config, k_max):
+    """check_gap_bounds evaluated on all k_max rings at once."""
+    k = np.arange(1, k_max + 1, dtype=float)
+    gap = log_radius_gap(config, k)
+    lo, hi = gap_bounds(config, k)
+    t_lo, t_up = radial_series.ring_log_radii(config, k)
+    interlace = bool(np.all(t_up[:-1] < t_lo[1:]))
+    return {
+        "beta": config.beta,
+        "k_max": k_max,
+        "min_slack_lower": float((gap - lo).min()),
+        "min_slack_upper": float((hi - gap).min()),
+        "interlaced": interlace,
+        "ok": bool((gap >= lo).all() and (gap <= hi).all() and interlace),
+    }
+
+
+B = GAP_SWEEP_BLOCK
+
+
+@pytest.mark.parametrize("k_max", [1, 2, B - 1, B, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("beta", [0.2, 1.0 / 3.0, 0.45])
+def test_blocked_gap_sweep_equals_one_shot_evaluation(beta, k_max):
+    config = RingConfig(beta=beta)
+    assert check_gap_bounds(config, k_max) == _one_shot_gap_bounds(config, k_max)
+
+
+def test_blocked_gap_sweep_tests_interlacing_across_block_edges(monkeypatch):
+    """Ring B + 1 opens the second block; moving its lower ring onto the upper
+    ring B breaks the one interlacing pair that straddles the block edge."""
+    original = radial_series.ring_log_radii
+
+    def touching(config, k):
+        t_lo, t_up = original(config, k)
+        edge = np.asarray(k) == B + 1
+        t_lo[edge] = original(config, B)[1]
+        return t_lo, t_up
+
+    monkeypatch.setattr(radial_series, "ring_log_radii", touching)
+    for k_max in (B + 1, 2 * B + 1):
+        report = check_gap_bounds(CFG, k_max)
+        assert report["interlaced"] is False
+        assert report["ok"] is False
+        assert report == _one_shot_gap_bounds(CFG, k_max)
+    assert check_gap_bounds(CFG, B)["interlaced"] is True
+
+
+def test_gap_sweep_of_a_million_rings_stays_small():
+    """The blocked sweep holds a few block-sized arrays, not ten 8 MB ones
+    (numpy reports its buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        assert check_gap_bounds(RingConfig(), 1_000_000)["ok"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_config_validation():

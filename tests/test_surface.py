@@ -1,7 +1,8 @@
 """Every public name in the package has a use outside tests, every name a
 package module imports is used in that module, no public function takes
-a solution beside its contact sets or its multiplier split, and the report
-writers import no solver module.
+a solution beside its contact sets or its multiplier split, the report
+writers import no solver module, and importing the package leaves scipy's
+quadrature, optimization and special-function packages unloaded.
 
 Walks the syntax trees of src/, demos/ and perfbench/. Each public
 top-level function and class of src/biobstacle, and each public method and
@@ -16,6 +17,9 @@ results and are exempt. Imports are not uses.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -155,3 +159,17 @@ def test_reporting_imports_no_solver_module():
         elif isinstance(node, ast.Import):
             imported |= {a.name.rsplit(".", 1)[-1] for a in node.names}
     assert imported & solver == set()
+
+
+def test_importing_the_package_leaves_scipy_quadrature_unloaded():
+    """Only the ring series integrates; its scipy imports wait for first use,
+    so a solve never loads their 205 modules and about 20 MB."""
+    lazy = ("scipy.integrate", "scipy.optimize", "scipy.special")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, biobstacle; print(*(m for m in {lazy!r} if m in sys.modules))"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert loaded == []

@@ -8,6 +8,7 @@ from biobstacle import (
     BopProblem,
     ControlOperator,
     ControlProblem,
+    DescentTrace,
     ObstaclePair,
     OperatorSpec,
     adjoint_subgradient,
@@ -182,6 +183,25 @@ def test_armijo_rejects_a_step_that_does_not_lower_the_objective():
     trace = descent_loop(cp, u0, steps=3, side="lower")
     assert trace.termination == "line_search_failure"
     assert [row["step"] for row in trace.rows] == [0.0]
+
+
+def test_strictly_decreasing_judges_accepted_steps_only():
+    """A line-search failure row repeats the last objective with step 0.0:
+    it took no step, so it does not count against the descent."""
+    grid = unit_grid(4, dim=1)
+    accepted = {"iter": 1, "objective": 2.0, "step": 0.5, "grad_norm": 1.0,
+                "side": "lower"}
+    failed = {**accepted, "iter": 2, "step": 0.0}
+    trace = DescentTrace(initial_objective=3.0, rows=[accepted, failed],
+                         u_final=grid.constant(0.0),
+                         termination="line_search_failure", line_search_failures=1)
+    assert trace.objectives == [3.0, 2.0, 2.0]
+    assert trace.strictly_decreasing is True
+    # an accepted step that leaves J where it was still breaks the descent
+    flat = DescentTrace(initial_objective=2.0, rows=[accepted, failed],
+                        u_final=grid.constant(0.0),
+                        termination="line_search_failure", line_search_failures=1)
+    assert flat.strictly_decreasing is False
 
 
 def test_descent_reaches_grad_tol_on_easy_problem(monkeypatch):
