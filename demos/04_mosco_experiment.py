@@ -4,8 +4,9 @@ On a biactive instance (nodes that touch an obstacle while their multiplier
 vanishes) the control-to-state map is no longer Gateaux differentiable: the
 derivative from the lower side and from the upper side genuinely differ.
 Each side is still the limit of reduced derivatives along monotone control
-perturbations u_n = u - e/n (lower side) or u_n = u + e/n (upper side), and
-this script watches those derivatives converge.
+perturbations u_n = u - 5/n (lower side) or u_n = u + 5/n (upper side)
+(derivatives.MOSCO_STEP = 5), and this script watches those derivatives
+converge.
 """
 
 import numpy as np
@@ -14,8 +15,7 @@ from biobstacle import mosco_convergence_experiment, solve_bop
 from biobstacle.problems import mosco_instance, unit_grid
 
 inst = mosco_instance(unit_grid(24, dim=2))
-problem, u, h, e = inst["problem"], inst["u"], inst["h"], inst["e"]
-sol = solve_bop(problem, u)
+sol = solve_bop(inst["problem"], inst["u"])
 part = sol.sets
 print("weak lower nodes:", int(part.lower_weak.sum()),
       " weak upper nodes:", int(part.upper_weak.sum()))
@@ -24,7 +24,7 @@ schedule = (2, 4, 8, 16, 32, 64, 128)
 
 eta = {}
 for side in ("lower", "upper"):
-    result = mosco_convergence_experiment(sol, h, side=side, schedule=schedule, e=e)
+    result = mosco_convergence_experiment(sol, inst["h"], side=side, schedule=schedule)
     eta[side] = result["eta_limit"]
     print(f"\nside = {side}:  dim D = {result['dim_D_limit']}")
     print("   n      error vs limit     state gap")

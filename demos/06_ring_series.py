@@ -32,13 +32,14 @@ print("first ring pair at t =",
 gaps = check_gap_bounds(config, k_max=100_000)
 print("\ngap bounds hold for every ring up to 100000:", gaps["ok"])
 
-study = series_study(config, K_max=50_000, tail_from=5_000)
+# the Cauchy tail starts at ring min(TAIL_FROM, K_max) = 10000
+study = series_study(config, K_max=50_000)
 
 bounded = study["bounded"]
 print("\nbounded profile (ramp): one-sided sums settle")
 print("  partial-sum limit estimate:", bounded["limit_estimate"])
 print("  rigorous mass bound:       ", bounded["measure_mass_bound"])
-print("  largest increment past k = 5000:", bounded["max_tail_increment"])
+print(f"  largest increment past k = {study['tail_from']}:", bounded["max_tail_increment"])
 
 fit = study["unbounded"]
 print("\nunbounded profile (t^beta - pi): one-sided sums diverge like log K")

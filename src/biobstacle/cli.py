@@ -182,7 +182,7 @@ def run_mosco(s: dict, out: Path) -> dict:
     inst = problems.mosco_instance(problems.unit_grid(s["grid"], dim=2))
     solution = solve_bop(inst["problem"], inst["u"])
     result = mosco_convergence_experiment(solution, inst["h"], side=s["side"],
-                                          schedule=schedule, e=inst["e"])
+                                          schedule=schedule)
     write_table_csv(out / "mosco_errors.csv", result["steps"],
                     ("n", "error", "state_gap", "dim_D", "sandwich_ok"))
     return {
@@ -220,7 +220,7 @@ def run_control(s: dict, out: Path) -> dict:
 def run_counterexample(s: dict, out: Path) -> dict:
     """Ring-series partial sums and bounds."""
     ring_config = RingConfig(beta=s["beta"], omega_exponent=s["omega_exponent"])
-    study = series_study(ring_config, K_max=s["K"], tail_from=min(10_000, s["K"]))
+    study = series_study(ring_config, K_max=s["K"])
     write_table_csv(out / "counterexample_series.csv", study["rows"],
                     ("K", "S_K_bounded", "S_K_unbounded", "lower_bound_partial_sum",
                      "ln_K"))

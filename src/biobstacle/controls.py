@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GridMismatch, InvalidSpec
-from .grid import Grid, GridFunction, require_same_grid
+from .grid import Grid, GridFunction
 
 CONTROL_KINDS = ("identity", "smooth_monotone_superposition")
 
@@ -59,37 +58,22 @@ class ControlOperator:
         if self.kind == "smooth_monotone_superposition" and self.profile not in PROFILES:
             raise InvalidSpec(f"unknown profile {self.profile!r}")
 
-    def _image(self, u: np.ndarray) -> np.ndarray:
-        if self.kind == "identity":
-            return u.copy()
-        g, _ = PROFILES[self.profile]
-        return g(u)
-
-    def _slope(self, u: np.ndarray) -> np.ndarray:
-        """Nodewise derivative of the map before the mass weight."""
-        if self.kind == "identity":
-            return np.ones_like(u)
-        _, gp = PROFILES[self.profile]
-        return gp(u)
-
 
 def apply_control(control: ControlOperator, u: GridFunction) -> GridFunction:
     """Load vector f(u)."""
     if u.grid != control.grid:
         raise GridMismatch("control and argument live on different grids")
-    return u.with_values(control.grid.mass * control._image(u.values))
+    if control.kind == "identity":
+        return u.with_values(control.grid.mass * u.values)
+    return u.with_values(control.grid.mass * PROFILES[control.profile][0](u.values))
 
 
-def apply_control_derivative(
-    control: ControlOperator, u: GridFunction, h: GridFunction
-) -> GridFunction:
-    """Load vector f'(u) h (closed form, no differencing)."""
-    require_same_grid(u, h)
-    return h.with_values(control_derivative_matrix(control, u) @ h.values)
-
-
-def control_derivative_matrix(control: ControlOperator, u: GridFunction) -> sp.csr_matrix:
-    """Sparse matrix of h -> f'(u) h, used by adjoint computations."""
+def control_slope(control: ControlOperator, u: GridFunction) -> np.ndarray:
+    """Nodewise slope mass * f'(u) (closed form, no differencing): the load
+    f'(u) h is control_slope(control, u) * h.values, and the diagonal matrix
+    f'(u) is its own adjoint."""
     if u.grid != control.grid:
         raise GridMismatch("control and argument live on different grids")
-    return sp.diags(control.grid.mass * control._slope(u.values)).tocsr()
+    if control.kind == "identity":
+        return np.full(control.grid.total, control.grid.mass)
+    return control.grid.mass * PROFILES[control.profile][1](u.values)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controls import apply_control_derivative
+from .controls import control_slope
 from .errors import InvalidD
 from .grid import GridFunction, require_same_grid
 from .multipliers import SetPartition, pair_inclusion_violations
@@ -31,6 +31,7 @@ from .obstacle import BopSolution, _reduced_solve, solve_bop, solve_vi_bounds
 
 SIDES = ("lower", "upper")
 CONE_TOL = 1e-12   # natural-residual tolerance of the cone VI
+MOSCO_STEP = 5.0   # the Mosco sequence steps the control by u_n = u -+ MOSCO_STEP/n
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +52,7 @@ def reduced_linear_solve(operator, rhs: np.ndarray, mask: np.ndarray,
 def _derivative_load(solution: BopSolution, h: GridFunction) -> np.ndarray:
     """f'(u) h, the load of every derivative system at the solved point."""
     require_same_grid(solution.u, h)
-    return apply_control_derivative(solution.problem.control, solution.u, h).values
+    return control_slope(solution.problem.control, solution.u) * h.values
 
 
 def directional_derivative(solution: BopSolution, h: GridFunction) -> DerivativeResult:
@@ -103,20 +104,19 @@ def generalized_derivative(solution: BopSolution, h: GridFunction,
 
 
 def mosco_convergence_experiment(solution: BopSolution, h: GridFunction, side: str,
-                                 schedule: tuple[int, ...], e: GridFunction) -> dict:
+                                 schedule: tuple[int, ...]) -> dict:
     """Reduced derivatives along a monotone control sequence u_n -> u.
 
     The limit point is the given solution at u and its contact sets.
-    u_n = u - e/n for side="lower" (approach from below), u_n = u + e/n for
-    side="upper". For each n the instance is re-solved from the nearby limit
-    point (solve_bop's near), re-classified, and the reduced derivative on
-    that instance's one-sided domain is compared with the limit derivative.
-    Reports the error decay, per step the set inclusions between u_n and u
-    as a control-ordered pair, and the limit derivative itself (eta_limit).
+    u_n = u - MOSCO_STEP/n for side="lower" (approach from below), u_n = u +
+    MOSCO_STEP/n for side="upper". For each n the instance is re-solved from
+    the nearby limit point (solve_bop's near), re-classified, and the
+    reduced derivative on that instance's one-sided domain is compared with
+    the limit derivative. Reports the error decay, per step the set
+    inclusions between u_n and u as a control-ordered pair, and the limit
+    derivative itself (eta_limit).
     """
     problem, u = solution.problem, solution.u
-    if (e.values <= 0).any():
-        raise InvalidD("perturbation e must be positive nodewise")
     if not schedule or min(schedule) < 1:
         raise InvalidD(f"schedule must name at least one n, each n >= 1, got {schedule}")
     sign = -1.0 if side == "lower" else 1.0
@@ -126,7 +126,7 @@ def mosco_convergence_experiment(solution: BopSolution, h: GridFunction, side: s
 
     steps = []
     for n in schedule:
-        sol_n = solve_bop(problem, u.with_values(u.values + sign * e.values / n),
+        sol_n = solve_bop(problem, u.with_values(u.values + sign * MOSCO_STEP / n),
                           near=solution)
         result_n = generalized_derivative(sol_n, h, side)
         hi, lo = (solution, sol_n) if side == "lower" else (sol_n, solution)

@@ -91,9 +91,6 @@ class Grid:
     def function(self, values) -> "GridFunction":
         return GridFunction(self, values)
 
-    def constant(self, value: float) -> "GridFunction":
-        return GridFunction(self, np.full(self.total, float(value)))
-
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:

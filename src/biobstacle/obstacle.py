@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 import logging
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -232,6 +233,14 @@ def _factor(block: sp.csc_matrix) -> spla.SuperLU:
                      panel_size=4, options={"SymmetricMode": True})
 
 
+def _require_tol(tol: float) -> None:
+    """Refuse a tolerance that no residual can be compared against: NaN
+    passes no test, a negative one no residual meets, and an infinite one
+    any residual meets. tol = 0 is legal: PDAS then stops at a fixed point."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def _active_sets(xi: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  c: float) -> tuple[np.ndarray, np.ndarray]:
     """PDAS's set rule: lower-active iff xi + c*(lo - x) > 0, upper-active iff
@@ -440,8 +449,10 @@ def solve_vi_bounds(
     projecting onto [lo, hi], so the returned x lies in the bounds exactly.
     A crossed box (lo > hi anywhere) raises InfeasibleObstacles naming the
     crossed nodes and the largest lo - hi; lo == hi pins a node. Returns
-    (x, sweeps, residual).
+    (x, sweeps, residual). A tol that is not finite or is negative raises
+    ValueError.
     """
+    _require_tol(tol)
     crossed = lo > hi
     if crossed.any():
         raise InfeasibleObstacles(
@@ -498,13 +509,15 @@ def solve_bop(
     the same bytes in fewer factorizations. A near start whose set
     iteration cycles hands over to the plain path (coarse seed, then cold).
     PSOR takes no near start. A cycle from the cold start raises
-    NoConvergence.
+    NoConvergence. A tol that is not finite or is negative raises
+    ValueError.
     """
     if u.grid != problem.grid:
         raise GridMismatch("control iterate lives on a different grid")
     if method not in SOLVER_DEFAULTS:
         raise ValueError(f"method must be 'psor' or 'pdas', got {method!r}")
     tol = SOLVER_DEFAULTS[method][0] if tol is None else tol
+    _require_tol(tol)
     if problem.obstacles.separation <= 2.0 * tol:
         raise InfeasibleObstacles(
             f"obstacle separation {problem.obstacles.separation:.3e} "

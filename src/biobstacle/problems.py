@@ -246,11 +246,9 @@ def derivative_instance(grid: Grid, amplitude: float = 50.0) -> dict:
 
 
 def mosco_instance(grid: Grid) -> dict:
-    """Biactive instance plus the probe "h" and the control perturbation
-    "e" = 5 of the Mosco schedule u_n = u -+ e/n."""
+    """Biactive instance plus the probe direction "h"."""
     inst = manufactured_instance(grid, biactive=True)
     inst["h"] = mode_field(grid, 50.0)
-    inst["e"] = grid.constant(5.0)
     return inst
 
 

@@ -34,6 +34,8 @@ from .errors import EvaluationDomain, InvalidBeta, InvalidSpec
 TWO_PI = 2.0 * math.pi
 # check_gap_bounds sweeps this many rings at a time (512 KB per float array)
 GAP_SWEEP_BLOCK = 65_536
+# series_study's Cauchy tail starts at ring min(TAIL_FROM, K_max)
+TAIL_FROM = 10_000
 
 
 @dataclass(frozen=True)
@@ -378,7 +380,7 @@ def lower_bound_terms(config: RingConfig, k: np.ndarray) -> np.ndarray:
     return config.omega(k) * TWO_PI * w_up / np.sqrt(gap_hi)
 
 
-def series_study(config: RingConfig, K_max: int, tail_from: int) -> dict:
+def series_study(config: RingConfig, K_max: int) -> dict:
     """Headline computation: bounded vs unbounded one-sided partial sums.
 
     Returns per-ring rows (decimated for reporting, keyed by their CSV
@@ -386,13 +388,12 @@ def series_study(config: RingConfig, K_max: int, tail_from: int) -> dict:
     against the ramp and log-power profiles), the Cauchy diagnostics of
     the bounded case, the divergence diagnostics of the unbounded case, and
     the H^-1 bound checks for both shipped profiles. The growth fit samples
-    ln K from K = 100 up, so K_max must exceed 100, and the tail starts at
-    a ring 1 <= tail_from <= K_max.
+    ln K from K = 100 up, so K_max must exceed 100. The Cauchy tail starts
+    at ring min(TAIL_FROM, K_max).
     """
     if K_max <= 100:
         raise InvalidSpec(f"series study needs K_max > 100, got {K_max}")
-    if not 1 <= tail_from <= K_max:
-        raise InvalidSpec(f"tail_from must lie in [1, K_max = {K_max}], got {tail_from}")
+    tail_from = min(TAIL_FROM, K_max)
     ramp = profile_ramp(config)
     log_power = profile_log_power(config)
     sums_ramp = pair_with_radial(config, ramp, K_max)

@@ -5,7 +5,9 @@ norm ||v||_M^2 = mass * sum v_i^2. Subgradients come from the adjoint of the
 reduced derivative system on a one-sided domain D:
 
     (A_DD)^T q_D = (mass * (y - y_target))_D,   q = 0 outside D,
-    g = f'(u)^T q + alpha * mass * u.
+    g = f'(u) q + alpha * mass * u,
+
+with f'(u) the diagonal of nodewise slopes (controls.control_slope).
 
 g is a plain-dot functional on control space: g . w equals the directional
 derivative of J along w wherever J is differentiable. J and g are evaluated
@@ -16,10 +18,11 @@ give g its domain D.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .controls import control_derivative_matrix
+from .controls import control_slope
 from .derivatives import domain_for_side, reduced_linear_solve
 from .errors import InvalidSpec
 from .grid import GridFunction, mass_norm, require_same_grid
@@ -42,8 +45,8 @@ class ControlProblem:
 
     def __post_init__(self):
         require_same_grid(self.bop.operator, self.y_target)
-        if self.alpha < 0:
-            raise InvalidSpec(f"Tikhonov weight must be >= 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise InvalidSpec(f"Tikhonov weight must be finite and >= 0, got {self.alpha}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +69,7 @@ def adjoint_subgradient(cp: ControlProblem, solution: BopSolution, side: str) ->
     grid = problem.grid
     j_y = grid.mass * (solution.y.values - cp.y_target.values)
     q = reduced_linear_solve(problem.operator, j_y, D, adjoint=True)
-    fprime = control_derivative_matrix(problem.control, u)
-    g = fprime.T @ q + cp.alpha * grid.mass * u.values
+    g = control_slope(problem.control, u) * q + cp.alpha * grid.mass * u.values
     return Subgradient(g=grid.function(g), q=grid.function(q), D_used=D)
 
 

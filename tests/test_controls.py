@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biobstacle import (
-    ControlOperator,
-    Grid,
-    apply_control,
-    apply_control_derivative,
-    control_derivative_matrix,
-)
+from biobstacle.controls import PROFILES, ControlOperator, apply_control, control_slope
 from biobstacle.errors import GridMismatch, InvalidSpec
-from biobstacle.controls import PROFILES
+from biobstacle.grid import Grid
 
 
 def _grid():
@@ -74,7 +68,7 @@ def test_derivative_matches_finite_differences(kind, kwargs):
     control = ControlOperator(grid, kind=kind, **kwargs)
     u = grid.function(rng.normal(size=grid.total))
     h = grid.function(rng.normal(size=grid.total))
-    exact = apply_control_derivative(control, u, h).values
+    exact = control_slope(control, u) * h.values
     for t in (1e-3, 1e-4, 1e-5):
         up = grid.function(u.values + t * h.values)
         um = grid.function(u.values - t * h.values)
@@ -82,21 +76,6 @@ def test_derivative_matches_finite_differences(kind, kwargs):
         err = np.abs(fd - exact).max()
         # second-order quotient; the identity is exact up to roundoff
         assert err <= max(50.0 * t * t, 1e-12)
-
-
-def test_derivative_matrix_agrees_with_apply():
-    grid = _grid()
-    rng = np.random.default_rng(11)
-    u = grid.function(rng.normal(size=grid.total))
-    for control in (
-        ControlOperator(grid, kind="identity"),
-        ControlOperator(grid, kind="smooth_monotone_superposition"),
-    ):
-        mat = control_derivative_matrix(control, u)
-        h = grid.function(rng.normal(size=grid.total))
-        np.testing.assert_allclose(
-            mat @ h.values, apply_control_derivative(control, u, h).values
-        )
 
 
 def test_control_validation():
@@ -112,6 +91,7 @@ def test_control_validation():
 def test_grid_mismatch_rejected():
     grid = _grid()
     control = ControlOperator(grid, kind="identity")
-    other = Grid((3, 3)).constant(0.0)
-    with pytest.raises(GridMismatch):
-        apply_control(control, other)
+    other = Grid((3, 3)).function(np.zeros(9))
+    for control_map in (apply_control, control_slope):
+        with pytest.raises(GridMismatch, match="different grids"):
+            control_map(control, other)

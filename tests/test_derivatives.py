@@ -12,20 +12,21 @@ import numpy as np
 import pytest
 
 from biobstacle import (
-    OperatorSpec,
-    assemble,
     classify_sets,
     directional_derivative,
-    domain_for_side,
     gateaux_derivative_on_D,
-    generalized_derivative,
     mosco_convergence_experiment,
-    pair_inclusion_violations,
     solve_bop,
 )
 from biobstacle import derivatives
-from biobstacle.derivatives import reduced_linear_solve
+from biobstacle.derivatives import (
+    domain_for_side,
+    generalized_derivative,
+    reduced_linear_solve,
+)
 from biobstacle.errors import InvalidD
+from biobstacle.grid import OperatorSpec, assemble
+from biobstacle.multipliers import pair_inclusion_violations
 from biobstacle.obstacle import _reduced_solve, _solve_block
 from biobstacle.problems import manufactured_instance, mode_field, unit_grid
 
@@ -220,10 +221,8 @@ def test_reduced_solve_matches_slicing_bit_for_bit(strict_setup, mask, kind, adj
 def test_mosco_experiment_tail_and_sandwich(biactive_setup):
     _, sol, part = biactive_setup
     h = _h(sol.problem.grid)
-    e = sol.problem.grid.constant(5.0)
     for side in ("lower", "upper"):
-        out = mosco_convergence_experiment(sol, h, side=side,
-                                           schedule=(4, 16, 64, 256), e=e)
+        out = mosco_convergence_experiment(sol, h, side=side, schedule=(4, 16, 64, 256))
         assert out["side"] == side
         assert out["errors_nonincreasing_tail"]
         assert out["final_error"] <= 1e-3
@@ -242,26 +241,24 @@ def test_mosco_solves_once_per_schedule_step(biactive_setup, monkeypatch):
     monkeypatch.setattr(derivatives, "solve_bop", counting_solve)
     schedule = (4, 16, 64)
     mosco_convergence_experiment(sol, _h(sol.problem.grid), side="upper",
-                                 schedule=schedule, e=sol.problem.grid.constant(5.0))
+                                 schedule=schedule)
     assert len(solves) == len(schedule)
     assert all((u_n.values > sol.u.values).all() for u_n, _ in solves)
+    # u_n = u + MOSCO_STEP/n, bit for bit
+    assert all(np.array_equal(u_n.values, sol.u.values + derivatives.MOSCO_STEP / n)
+               for (u_n, _), n in zip(solves, schedule))
     # each u_n starts from the limit point
     assert all(near is sol for _, near in solves)
 
 
-def test_mosco_perturbation_must_be_positive(biactive_setup):
+def test_mosco_refuses_unknown_side_and_empty_schedule(biactive_setup):
     _, sol, part = biactive_setup
     h = _h(sol.problem.grid)
     with pytest.raises(InvalidD):
-        mosco_convergence_experiment(sol, h, side="lower", schedule=(2,),
-                                     e=sol.problem.grid.constant(0.0))
-    with pytest.raises(InvalidD):
-        mosco_convergence_experiment(sol, h, side="sideways", schedule=(2,),
-                                     e=sol.problem.grid.constant(1.0))
+        mosco_convergence_experiment(sol, h, side="sideways", schedule=(2,))
     for schedule in ((), (2, 0)):
         with pytest.raises(InvalidD, match="schedule must name at least one n"):
-            mosco_convergence_experiment(sol, h, side="lower", schedule=schedule,
-                                         e=sol.problem.grid.constant(1.0))
+            mosco_convergence_experiment(sol, h, side="lower", schedule=schedule)
 
 
 def test_sandwich_report_structure(biactive_setup):
@@ -272,12 +269,12 @@ def test_sandwich_report_structure(biactive_setup):
             "lower_strict_shrinks", "upper_strict_grows"}
     same = pair_inclusion_violations(part, part)
     assert same == dict.fromkeys(keys, 0)
-    e = sol.problem.grid.constant(5.0)
     for side, sign in (("lower", -1.0), ("upper", 1.0)):
         step = mosco_convergence_experiment(sol, _h(sol.problem.grid),
-                                            side=side, schedule=(2,), e=e)["steps"][0]
+                                            side=side, schedule=(2,))["steps"][0]
         assert step["sandwich_ok"] and step["sandwich"] == same
-        sol_n = solve_bop(sol.problem, sol.u.with_values(sol.u.values + sign * e.values / 2))
+        sol_n = solve_bop(sol.problem, sol.u.with_values(
+            sol.u.values + sign * derivatives.MOSCO_STEP / 2))
         part_n = classify_sets(sol_n)
         wrong = (part_n, part) if side == "lower" else (part, part_n)
         assert sum(pair_inclusion_violations(*wrong).values()) > 0

@@ -13,16 +13,17 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from biobstacle import (
+from biobstacle.errors import GridMismatch, InvalidSpec
+from biobstacle.grid import (
+    OPERATOR_KINDS,
     Grid,
     GridFunction,
     OperatorSpec,
     assemble,
+    interpolation,
     mass_norm,
     natural_scale,
 )
-from biobstacle.errors import GridMismatch, InvalidSpec
-from biobstacle.grid import OPERATOR_KINDS, interpolation
 from biobstacle.problems import random_instance, unit_grid
 
 
@@ -93,6 +94,8 @@ def test_spec_validation():
         OperatorSpec("laplacian_plus_convection", convection=(math.nan, 0.0))
     with pytest.raises(InvalidSpec):
         OperatorSpec("laplacian_plus_convection", convection=(0.0, math.inf))
+    with pytest.raises(InvalidSpec, match="takes no convection velocity"):
+        OperatorSpec("laplacian_plus_reaction", reaction=1.0, convection=(1.0, 0.0))
     with pytest.raises(InvalidSpec):
         assemble(Grid((3, 3)), OperatorSpec("laplacian_plus_convection", convection=(1.0,)))
 
@@ -154,7 +157,7 @@ def test_grid_function_checks_shape():
 
 
 def test_grid_function_immutable():
-    f = Grid((3,)).constant(1.0)
+    f = Grid((3,)).function(np.ones(3))
     with pytest.raises(ValueError):
         f.values[0] = 5.0
 
@@ -246,7 +249,7 @@ def test_natural_scale_and_mass_1d(n):
 def test_mass_norm_constant_function():
     # ||1||_{L^2(0,1)^2} = 1 up to the missing boundary strip
     grid = Grid((31, 31))
-    assert mass_norm(grid.constant(1.0)) == pytest.approx(
+    assert mass_norm(grid.function(np.ones(grid.total))) == pytest.approx(
         math.sqrt(grid.mass * grid.total)
     )
 

@@ -5,15 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from biobstacle import (
-    BopProblem,
-    ControlOperator,
-    ObstaclePair,
-    OperatorSpec,
-    assemble,
-    solve_bop,
-)
+from biobstacle import solve_bop
+from biobstacle.controls import ControlOperator
+from biobstacle.grid import OperatorSpec, assemble
 from biobstacle.multipliers import node_flags
+from biobstacle.obstacle import BopProblem, ObstaclePair
 from biobstacle.problems import unit_grid
 from biobstacle.reporting import (
     REPORT_SCHEMA_VERSION,

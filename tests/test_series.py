@@ -11,15 +11,10 @@ from hypothesis import strategies as st
 from biobstacle import (
     RingConfig,
     check_gap_bounds,
-    gap_bounds,
-    h1_pairing_bound,
-    log_radius_gap,
     measure_mass_bound,
     pair_with_radial,
     profile_log_power,
     profile_ramp,
-    profile_state,
-    ring_log_radii,
     series_study,
     verify_vi_solution_property,
 )
@@ -29,9 +24,14 @@ from biobstacle.radial_series import (
     GAP_SWEEP_BLOCK,
     RadialProfile,
     bounded_tail_remainder,
+    gap_bounds,
     growth_constant,
+    h1_pairing_bound,
+    log_radius_gap,
     lower_bound_terms,
     obstacle_values_at,
+    profile_state,
+    ring_log_radii,
 )
 
 
@@ -186,10 +186,6 @@ def test_ring_index_starts_at_one():
         check_gap_bounds(CFG, k_max=0)
     with pytest.raises(InvalidSpec):
         bounded_tail_remainder(CFG, 0)
-    # the tail of series_study starts at a ring 1 <= tail_from <= K_max
-    for tail_from in (0, 201):
-        with pytest.raises(InvalidSpec, match="tail_from must lie in"):
-            series_study(CFG, K_max=200, tail_from=tail_from)
 
 
 def test_state_profile_gradient_frozen():
@@ -346,8 +342,10 @@ def test_vi_pairing_nonnegative_for_feasible_directions():
 
 
 def test_series_study_small_run():
-    study = series_study(CFG, K_max=2000, tail_from=500)
+    study = series_study(CFG, K_max=2000)
     assert study["K_max"] == 2000
+    # the Cauchy tail starts at min(TAIL_FROM, K_max)
+    assert study["tail_from"] == 2000
 
     bounded = study["bounded"]
     assert bounded["partial_sums_within_bound"]

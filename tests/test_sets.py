@@ -4,21 +4,23 @@ import numpy as np
 import pytest
 
 from biobstacle import (
-    EPS_ACTIVE,
-    EPS_MULT,
     classify_sets,
     directional_derivative,
-    mirror_check,
     node_flags,
-    pair_inclusion_violations,
     pairing_identity_gap,
     solve_bop,
-    solve_vi_bounds,
     split_multiplier,
 )
 from biobstacle import derivatives, multipliers
 from biobstacle.errors import ComplementarityViolated
-from biobstacle.obstacle import BopSolution
+from biobstacle.multipliers import (
+    EPS_ACTIVE,
+    EPS_MULT,
+    SetPartition,
+    mirror_check,
+    pair_inclusion_violations,
+)
+from biobstacle.obstacle import BopSolution, solve_vi_bounds
 from biobstacle.problems import (
     manufactured_instance,
     monotone_control_pair,
@@ -99,12 +101,25 @@ def test_partition_is_a_partition(solved_biactive):
     assert not (part.lower & part.upper).any()
 
 
+def test_partition_refuses_overlapping_or_stray_strict_masks():
+    """A node active at both obstacles, or strict contact off the active
+    set, is no partition."""
+    on, off = np.array([True, False]), np.array([False, False])
+    with pytest.raises(ComplementarityViolated, match="active at both obstacles"):
+        SetPartition(lower=on, upper=on, lower_strict=off, upper_strict=off)
+    for side in ("lower", "upper"):
+        strict = {"lower_strict": off, "upper_strict": off, f"{side}_strict": on}
+        with pytest.raises(ComplementarityViolated,
+                           match=f"{side} strict set leaves the active set"):
+            SetPartition(lower=off, upper=off, **strict)
+
+
 def test_unconstrained_solution_is_all_inactive():
     inst = manufactured_instance(unit_grid(12, dim=2))
     problem = inst["problem"]
     grid = problem.grid
     wide = problem.obstacles
-    from biobstacle import BopProblem, ObstaclePair
+    from biobstacle.obstacle import BopProblem, ObstaclePair
     roomy = BopProblem(
         operator=problem.operator,
         control=problem.control,
@@ -146,7 +161,7 @@ def _cone_bounds(sol, monkeypatch):
         return solve_vi_bounds(operator, rhs, lo, hi, **kwargs)
 
     monkeypatch.setattr(derivatives, "solve_vi_bounds", capture)
-    directional_derivative(sol, sol.problem.grid.constant(1.0))
+    directional_derivative(sol, sol.u.with_values(np.ones(sol.u.values.size)))
     return seen[0]
 
 

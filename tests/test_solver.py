@@ -16,37 +16,40 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from biobstacle import (
-    BopProblem,
-    ControlOperator,
-    Grid,
-    ObstaclePair,
-    OperatorSpec,
-    assemble,
-    solution_residual,
-    solve_bop,
-    solve_by_enumeration,
-    solve_vi_bounds,
-)
+from biobstacle import solution_residual, solve_bop
 from biobstacle import obstacle, oracle, problems
+from biobstacle.controls import ControlOperator
 from biobstacle.errors import (
     ComplementarityViolated,
+    GridMismatch,
     InfeasibleObstacles,
     InvalidSpec,
     NoConvergence,
     NotPositiveDefinite,
 )
-from biobstacle.grid import OPERATOR_KINDS, AssembledOperator, interpolation, natural_scale
+from biobstacle.grid import (
+    OPERATOR_KINDS,
+    AssembledOperator,
+    Grid,
+    OperatorSpec,
+    assemble,
+    interpolation,
+    natural_scale,
+)
 from biobstacle.multipliers import EPS_ACTIVE, classify_sets, mirror_check, node_flags
 from biobstacle.obstacle import (
     _BAND_LIMIT,
     COARSE_MIN,
+    BopProblem,
+    ObstaclePair,
     _pdas_bounds,
     _reduced_solve,
     _residual,
+    solve_vi_bounds,
 )
-from biobstacle.oracle import ENUMERATION_TOL
+from biobstacle.oracle import ENUMERATION_TOL, solve_by_enumeration
 from biobstacle.problems import (
+    manufactured_instance,
     monotone_control_pair,
     random_control,
     random_instance,
@@ -88,7 +91,7 @@ def _box_problem(n=5, lo=-0.002, hi=0.002, kind="identity"):
 def test_unconstrained_instance_is_a_pdas_fixed_point():
     """Obstacles far from the free solution: zero set updates, exact solve."""
     problem = _box_problem(lo=-100.0, hi=100.0)
-    u = problem.grid.constant(1.0)
+    u = problem.grid.function(np.ones(problem.grid.total))
     sol = solve_bop(problem, u, method="pdas")
     assert sol.iterations == 0
     free = np.linalg.solve(problem.operator.matrix.toarray(), problem.load(u))
@@ -252,6 +255,11 @@ def test_random_control_builds_the_drawn_kind():
         random_control(unit_grid(6, dim=2), rng, kinds=("affine_monotone",))
 
 
+def test_manufactured_instance_needs_a_2d_grid():
+    with pytest.raises(InvalidSpec, match="manufactured instances are built on 2D grids"):
+        manufactured_instance(unit_grid(8, dim=1))
+
+
 def test_enumeration_certifies_complementarity():
     # odd ramp load: two nodes pinned low, two pinned high, two free
     problem = _box_problem(n=6)
@@ -271,7 +279,7 @@ def test_enumeration_certifies_complementarity():
 def test_enumeration_size_guard():
     problem = _box_problem(n=13)
     with pytest.raises(InvalidSpec):
-        solve_by_enumeration(problem, problem.grid.constant(1.0))
+        solve_by_enumeration(problem, problem.grid.function(np.ones(problem.grid.total)))
 
 
 def test_enumeration_raises_when_no_pattern_is_accepted(monkeypatch):
@@ -280,7 +288,7 @@ def test_enumeration_raises_when_no_pattern_is_accepted(monkeypatch):
     the smallest violation, that of the solution's own pattern, instead of
     returning a non-solution."""
     problem = _box_problem(n=4)
-    u = problem.grid.constant(1.0)
+    u = problem.grid.function(np.ones(problem.grid.total))
     smallest = solve_by_enumeration(problem, u).residual_norm
     monkeypatch.setattr(oracle, "ENUMERATION_TOL", -1.0)
     with pytest.raises(ComplementarityViolated) as info:
@@ -598,7 +606,8 @@ def test_no_seed_below_coarse_min_or_for_infinite_bounds(caplog):
         obstacles=ObstaclePair(grid, np.zeros(grid.total), np.full(grid.total, np.inf)))
     with caplog.at_level(logging.DEBUG, logger="biobstacle.obstacle"):
         solve_bop(problem, u, method="pdas")
-        solve_bop(unilateral, grid.constant(1.0 / grid.mass), method="pdas")
+        solve_bop(unilateral, grid.function(np.full(grid.total, 1.0 / grid.mass)),
+                  method="pdas")
     assert [level["seed"] for level in _pdas_levels(caplog)] == ["cold", "cold"]
 
 
@@ -673,12 +682,43 @@ def test_obstacle_pair_validation():
         ObstaclePair(grid, np.zeros(4), np.zeros(4))
     with pytest.raises(InfeasibleObstacles):
         ObstaclePair(grid, np.full(4, 0.1), np.full(4, -0.1))
+    with pytest.raises(GridMismatch, match="obstacle arrays do not match the grid"):
+        ObstaclePair(grid, np.zeros(3), np.ones(4))
+
+
+def test_parts_on_another_grid_are_refused():
+    """A problem's operator, control and obstacles share one grid, and so
+    does the control it is solved at."""
+    problem = _box_problem(n=5)
+    other = unit_grid(6, dim=1)
+    with pytest.raises(GridMismatch, match="grids differ"):
+        BopProblem(operator=problem.operator, control=problem.control,
+                   obstacles=ObstaclePair(other, np.full(6, -1.0), np.ones(6)))
+    with pytest.raises(GridMismatch, match="control iterate lives on a different grid"):
+        solve_bop(problem, other.function(np.ones(6)))
+
+
+@pytest.mark.parametrize("method", ["pdas", "psor"])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_a_tolerance_no_residual_can_meet_is_refused(method, tol):
+    """NaN passes no residual test and skips the separation guard, a
+    negative tol is never met, and an infinite one is met by anything:
+    each is refused by name before a solve starts, in solve_bop and in
+    PSOR's own entry. tol = 0 stays legal (PDAS then stops at a fixed
+    point)."""
+    problem, u = random_instance(unit_grid(12, dim=2), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        solve_bop(problem, u, method=method, tol=tol)
+    lo, hi = problem.obstacles.psi, problem.obstacles.phi
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        solve_vi_bounds(problem.operator, problem.load(u), lo, hi, tol=tol)
 
 
 def test_touching_band_rejected_against_tolerance():
     problem = _box_problem(lo=-1e-12, hi=1e-12)
     with pytest.raises(InfeasibleObstacles):
-        solve_bop(problem, problem.grid.constant(1.0), method="pdas")
+        solve_bop(problem, problem.grid.function(np.ones(problem.grid.total)),
+                  method="pdas")
 
 
 def test_psor_reports_nonconvergence(monkeypatch):
@@ -690,6 +730,18 @@ def test_psor_reports_nonconvergence(monkeypatch):
     assert info.value.method == "psor"
     assert info.value.iterations == 1
     assert info.value.residual > 1e-12
+
+
+def test_pdas_raises_at_its_iteration_cap(monkeypatch):
+    """An 8^2 draw takes no coarse seed and needs 3 set iterations cold;
+    capped at 1 it raises with the residual it reached."""
+    problem, u = random_instance(unit_grid(8, dim=2), np.random.default_rng(0))
+    assert solve_bop(problem, u).iterations == 3
+    monkeypatch.setitem(obstacle.SOLVER_DEFAULTS, "pdas", (1e-10, 1))
+    with pytest.raises(NoConvergence, match="^pdas did not converge: .* after 1 iter") as info:
+        solve_bop(problem, u)
+    assert info.value.method == "pdas"
+    assert info.value.residual > 1e-10
 
 
 def test_psor_raises_at_the_first_nonfinite_residual():
@@ -896,7 +948,8 @@ def test_an_indefinite_symmetric_block_names_its_failing_minor():
 def test_unknown_method_rejected():
     problem = _box_problem()
     with pytest.raises(ValueError):
-        solve_bop(problem, problem.grid.constant(0.0), method="newton")
+        solve_bop(problem, problem.grid.function(np.zeros(problem.grid.total)),
+                  method="newton")
 
 
 def test_vi_bounds_accepts_half_infinite_boxes():
@@ -906,7 +959,7 @@ def test_vi_bounds_accepts_half_infinite_boxes():
     grid = unit_grid(6, dim=1)
     operator = assemble(grid, OperatorSpec("laplacian"))
     control = ControlOperator(grid, kind="identity")
-    u = grid.constant(-1.0 / grid.mass)
+    u = grid.function(np.full(grid.total, -1.0 / grid.mass))
     lo = np.full(grid.total, -np.inf)
     lo[::2] = 0.0
     hi = np.full(grid.total, np.inf)
@@ -941,6 +994,11 @@ def test_vi_bounds_refuses_a_crossed_box():
     lo[[5, 9]], hi[[5, 9]] = 0.5, [0.25, 0.5]
     with pytest.raises(InfeasibleObstacles, match="lo > hi at 1 nodes, largest lo - hi 2.500e"):
         solve_vi_bounds(operator, b, lo, hi, tol=1e-10)
+    # lo = hi = +inf is not crossed, but pins a node at infinity
+    lo, hi = np.full(b.size, -np.inf), np.full(b.size, np.inf)
+    lo[7] = np.inf
+    with pytest.raises(InfeasibleObstacles, match="no finite starting point"):
+        solve_vi_bounds(operator, b, lo, hi, tol=1e-10)
 
 
 def test_vi_bounds_pins_nodes_where_lo_equals_hi():
@@ -963,7 +1021,7 @@ def test_vi_bounds_pins_nodes_where_lo_equals_hi():
 
 def test_natural_residual_vanishes_only_at_solution():
     problem = _box_problem(n=6)
-    u = problem.grid.constant(10.0)
+    u = problem.grid.function(np.full(problem.grid.total, 10.0))
     sol = solve_bop(problem, u, method="pdas")
     assert solution_residual(sol) <= 1e-12
     y = sol.y.values + 1e-3

@@ -1,4 +1,5 @@
-"""Every public name in the package has a use outside tests, every name a
+"""Every public name in the package has a use outside tests, the package
+root re-exports only names imported through it outside tests, every name a
 package module imports is used in that module, no public function takes
 a solution beside its contact sets or its multiplier split, the report
 writers import no solver module, and importing the package leaves scipy's
@@ -99,6 +100,28 @@ def test_every_public_name_is_used_outside_tests():
                    for used, where, line in pool):
             unused.append(name)
     assert unused == [], f"public names that only tests reach: {unused}"
+
+
+def test_every_root_export_is_imported_through_the_root():
+    """Each name that __init__.py binds by ``from .module import name`` is
+    imported through the root somewhere in src/, demos/ or perfbench/, as
+    ``from biobstacle import name`` or ``biobstacle.name``. Types, builders
+    and constants are imported from their modules."""
+    trees = _trees()
+    exported = {a.asname or a.name for node in trees[PACKAGE / "__init__.py"].body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                for a in node.names}
+    through_root = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module == "biobstacle":
+                through_root |= {a.name for a in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "biobstacle":
+                through_root.add(node.attr)
+    unused = sorted(exported - through_root)
+    assert unused == [], f"root re-exports that nothing imports through the root: {unused}"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:

@@ -1,26 +1,25 @@
 """Tracking objective, adjoint subgradients, descent."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from biobstacle import (
-    BopProblem,
-    ControlOperator,
-    ControlProblem,
-    DescentTrace,
-    ObstaclePair,
-    OperatorSpec,
     adjoint_subgradient,
-    assemble,
     classify_sets,
     descent_loop,
     objective,
     solve_bop,
 )
 from biobstacle import tracking
+from biobstacle.controls import ControlOperator, control_slope
 from biobstacle.errors import InvalidD, InvalidSpec
+from biobstacle.grid import OperatorSpec, assemble
+from biobstacle.obstacle import BopProblem, ObstaclePair
 from biobstacle.problems import manufactured_instance, smooth_field, unit_grid
+from biobstacle.tracking import ControlProblem, DescentTrace
 
 
 def _unconstrained_cp(n=10, alpha=1e-3):
@@ -86,12 +85,11 @@ def test_adjoint_identity_is_machine_exact():
     cp = ControlProblem(bop=inst["problem"], y_target=y_target, alpha=1e-8)
     u = grid.function(inst["u"].values + smooth_field(grid, rng, amplitude=0.05).values)
     sub = _subgradient_at(cp, u)
-    from biobstacle import control_derivative_matrix
-    fprime = control_derivative_matrix(cp.bop.control, u)
+    slope = control_slope(cp.bop.control, u)
     for _ in range(5):
         w = rng.standard_normal(grid.total)
-        lhs = float((fprime.T @ sub.q.values) @ w)
-        rhs = float(sub.q.values @ (fprime @ w))
+        lhs = float((slope * sub.q.values) @ w)
+        rhs = float(sub.q.values @ (slope * w))
         assert lhs == pytest.approx(rhs, abs=1e-18)
 
 
@@ -177,8 +175,9 @@ def test_armijo_rejects_a_step_that_does_not_lower_the_objective():
         control=ControlOperator(grid, kind="identity"),
         obstacles=ObstaclePair(grid, np.full(grid.total, -1.0), np.zeros(grid.total)),
     )
-    cp = ControlProblem(bop=problem, y_target=grid.constant(-10.0), alpha=1e-12)
-    u0 = grid.constant(1e3)
+    cp = ControlProblem(bop=problem, y_target=grid.function(np.full(grid.total, -10.0)),
+                        alpha=1e-12)
+    u0 = grid.function(np.full(grid.total, 1e3))
     assert classify_sets(solve_bop(problem, u0)).upper_strict.all()
     trace = descent_loop(cp, u0, steps=3, side="lower")
     assert trace.termination == "line_search_failure"
@@ -193,13 +192,13 @@ def test_strictly_decreasing_judges_accepted_steps_only():
                 "side": "lower"}
     failed = {**accepted, "iter": 2, "step": 0.0}
     trace = DescentTrace(initial_objective=3.0, rows=[accepted, failed],
-                         u_final=grid.constant(0.0),
+                         u_final=grid.function(np.zeros(grid.total)),
                          termination="line_search_failure", line_search_failures=1)
     assert trace.objectives == [3.0, 2.0, 2.0]
     assert trace.strictly_decreasing is True
     # an accepted step that leaves J where it was still breaks the descent
     flat = DescentTrace(initial_objective=2.0, rows=[accepted, failed],
-                        u_final=grid.constant(0.0),
+                        u_final=grid.function(np.zeros(grid.total)),
                         termination="line_search_failure", line_search_failures=1)
     assert flat.strictly_decreasing is False
 
@@ -230,6 +229,9 @@ def test_objective_value_formula():
 
 
 def test_negative_tikhonov_weight_rejected():
+    """A negative or non-finite weight is refused where it is set, not
+    blamed on the solver once descent_loop meets a NaN objective."""
     cp, _ = _unconstrained_cp()
-    with pytest.raises(InvalidSpec):
-        ControlProblem(bop=cp.bop, y_target=cp.y_target, alpha=-1.0)
+    for alpha in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidSpec, match="Tikhonov weight must be finite and >= 0"):
+            ControlProblem(bop=cp.bop, y_target=cp.y_target, alpha=alpha)
